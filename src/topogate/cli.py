@@ -14,7 +14,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -75,6 +74,9 @@ def cmd_compute(args) -> int:
     ]
     workers = int(os.environ.get(THREADS_ENV, "1"))
     if workers > 1 and len(tasks) > 1:
+        # imported here: at module level it adds RSS to every command
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_one, tasks))
     else:
@@ -170,16 +172,21 @@ def cmd_gen(args) -> int:
 
 
 def _load_dataset(directory: str):
-    with open(os.path.join(directory, "labels.csv"), newline="") as f:
-        rows = list(csv.DictReader(f))
-    samples = [
-        gridmod.SyntheticSample(
-            image=gridmod.load_pgm(os.path.join(directory, r["file"])),
-            label=int(r["label"]),
-        )
-        for r in rows
+    path = os.path.join(directory, "labels.csv")
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    missing = {"file", "label"} - set(reader.fieldnames or ())
+    if missing:
+        raise gridmod.FormatError(f"{path}: missing column(s) {', '.join(sorted(missing))}")
+    try:
+        labels = [int(r["label"]) for r in rows]
+    except (TypeError, ValueError):  # a short row gives None
+        raise gridmod.FormatError(f"{path}: every label must be an integer") from None
+    return [
+        gridmod.SyntheticSample(image=gridmod.load_pgm(os.path.join(directory, r["file"])), label=y)
+        for r, y in zip(rows, labels)
     ]
-    return samples
 
 
 # ----------------------------------------------------------------- train/eval
@@ -221,7 +228,11 @@ def cmd_eval(args) -> int:
     dataset, _ = pipeline.build_feature_dataset(
         samples, stats=stats, n_per_group=config.n_per_group
     )
-    metrics = modelmod.evaluate(model, dataset, config.mode)
+    try:
+        metrics = modelmod.evaluate(model, dataset, config.mode)
+    except ValueError as e:  # the split cannot be scored, e.g. a class is missing
+        print(f"error: {args.data}: {e}", file=sys.stderr)
+        return 1
     print(f"{'metric':<14}{'value':>8}")
     for key in ("accuracy", "auc", "sensitivity", "specificity"):
         print(f"{key:<14}{metrics[key]:>8.4f}")

@@ -3,7 +3,9 @@
 V-construction throughout: pixels are vertices, edges join 4-adjacent pixels,
 squares fill 2x2 blocks. A cell's filtration value is the max over its
 vertices. H0/H1 pairing is computed by sparse boundary-matrix reduction over
-Z/2 with the clearing optimization; a union-find elder-rule pass provides an
+Z/2 with the clearing optimization: the boundary columns of squares and edges
+are built with numpy from cell ids, a chunk at a time in filtration order,
+and reduced as Python lists. A union-find elder-rule pass provides an
 independent H0 fast path.
 """
 
@@ -76,18 +78,6 @@ class CubicalFiltration:
         a = r * w + c
         return a, a + w
 
-    def square_edges(self, cid: int) -> tuple[int, int, int, int]:
-        """Edge ids bounding a square cell anchored at its top-left pixel."""
-        h, w = self.height, self.width
-        nv, nh = self.n_vertices, self.n_hedges
-        k = cid - nv - nh - self.n_vedges
-        r, c = divmod(k, w - 1)
-        top = nv + r * (w - 1) + c
-        bottom = nv + (r + 1) * (w - 1) + c
-        left = nv + nh + r * w + c
-        right = left + 1
-        return top, bottom, left, right
-
 
 def build_filtration(grid: np.ndarray) -> CubicalFiltration:
     """Build the sorted sublevel V-construction filtration of a grid."""
@@ -116,19 +106,53 @@ def build_filtration(grid: np.ndarray) -> CubicalFiltration:
     return CubicalFiltration(h, w, values, dims, order, pos)
 
 
+# Boundary columns are converted to Python lists this many cells at a time,
+# which bounds the memory the lists take on large images.
+_CHUNK = 4096
+
+
+def _edge_faces(filt: CubicalFiltration, eids: np.ndarray) -> np.ndarray:
+    """Vertex ids of edge cells, one (a, b) row per edge."""
+    w = filt.width
+    k = eids - filt.n_vertices
+    horizontal = k < filt.n_hedges
+    # horizontal k = r * (w - 1) + c joins (r, c) and (r, c + 1);
+    # vertical k - nh = r * w + c joins (r, c) and (r + 1, c)
+    a = np.where(horizontal, k + k // max(w - 1, 1), k - filt.n_hedges)
+    return np.stack([a, a + np.where(horizontal, 1, w)], axis=1)
+
+
+def _square_faces(filt: CubicalFiltration, sids: np.ndarray) -> np.ndarray:
+    """Edge ids bounding square cells, one (top, bottom, left, right) row per
+    square; a square is anchored at its top-left pixel."""
+    w = filt.width
+    nv, nh = filt.n_vertices, filt.n_hedges
+    k = sids - (nv + nh + filt.n_vedges)  # k = r * (w - 1) + c
+    top = nv + k
+    left = nv + nh + k + k // max(w - 1, 1)
+    return np.stack([top, top + (w - 1), left, left + 1], axis=1)
+
+
+def _columns(filt: CubicalFiltration, cids: np.ndarray, faces):
+    """Boundary column of each cell in `cids`, in that order: the ascending
+    filtration positions of its faces, as a list of ints."""
+    for i in range(0, len(cids), _CHUNK):
+        yield from np.sort(filt.pos[faces(filt, cids[i : i + _CHUNK])], axis=1).tolist()
+
+
 def _validate(filt: CubicalFiltration) -> None:
     sorted_vals = filt.values[filt.order]
     if np.any(np.diff(sorted_vals) < 0):
         raise FiltrationError("filtration not sorted by value")
     pos = filt.pos
-    nv, nh, nu = filt.n_vertices, filt.n_hedges, filt.n_vedges
-    for eid in range(nv, nv + nh + nu):
-        a, b = filt.edge_endpoints(eid)
-        if pos[a] > pos[eid] or pos[b] > pos[eid]:
-            raise FiltrationError("edge precedes one of its vertices")
-    for sid in range(nv + nh + nu, filt.n_cells):
-        if any(pos[e] > pos[sid] for e in filt.square_edges(sid)):
-            raise FiltrationError("square precedes one of its edges")
+    nv = filt.n_vertices
+    ne = filt.n_hedges + filt.n_vedges
+    eids = np.arange(nv, nv + ne)
+    if np.any(pos[_edge_faces(filt, eids)] > pos[eids, None]):
+        raise FiltrationError("edge precedes one of its vertices")
+    sids = np.arange(nv + ne, filt.n_cells)
+    if np.any(pos[_square_faces(filt, sids)] > pos[sids, None]):
+        raise FiltrationError("square precedes one of its edges")
 
 
 def _symdiff(a: list[int], b: list[int]) -> list[int]:
@@ -152,6 +176,25 @@ def _symdiff(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
+def _reduce(columns) -> list[int]:
+    """Reduce boundary columns left to right over Z/2; returns the pivot (the
+    largest position) of each reduced column, -1 for a zero column."""
+    owner: dict[int, list[int]] = {}
+    lows: list[int] = []
+    for col in columns:
+        while col:
+            other = owner.get(col[-1])
+            if other is None:
+                break
+            col = _symdiff(col, other)
+        if col:
+            owner[col[-1]] = col
+            lows.append(col[-1])
+        else:
+            lows.append(-1)
+    return lows
+
+
 def compute_persistence(filt: CubicalFiltration, validate: bool = True) -> Diagram:
     """Persistence diagram (H0 and H1) of a sorted cubical filtration.
 
@@ -164,88 +207,43 @@ def compute_persistence(filt: CubicalFiltration, validate: bool = True) -> Diagr
     pos = filt.pos
     order = filt.order
     values = filt.values
-    n = filt.n_cells
     nv = filt.n_vertices
     ne = filt.n_hedges + filt.n_vedges
 
-    births: list[float] = []
-    deaths: list[float] = []
-    dims: list[int] = []
-    ess: list[bool] = []
+    # --- squares: each reduced column pairs an edge (H1 creator, its pivot)
+    # with the square killing it; those edges are cleared for the edge pass. A
+    # zero column would be an essential 2-cycle, impossible for planar grids.
+    sids = order[np.sort(pos[nv + ne :])]
+    lows = np.array(_reduce(_columns(filt, sids, _square_faces)), dtype=np.int64)
+    sq = lows >= 0
+    b1, d1 = values[order[lows[sq]]], values[sids[sq]]
+    cleared = np.zeros(filt.n_cells, dtype=bool)
+    cleared[lows[sq]] = True
 
-    # --- squares: each reduced column pairs an edge (H1 creator) with the
-    # square killing it; those edges are cleared for the edge pass
-    owner: dict[int, list[int]] = {}
-    cleared = np.zeros(n, dtype=bool)
-    sq_pos = np.sort(pos[nv + ne :])
-    for p in sq_pos:
-        sid = order[p]
-        col = sorted(int(pos[e]) for e in filt.square_edges(int(sid)))
-        while col:
-            low = col[-1]
-            other = owner.get(low)
-            if other is None:
-                break
-            col = _symdiff(col, other)
-        if not col:
-            # would be an essential 2-cycle; impossible for planar grids
-            continue
-        low = col[-1]
-        owner[low] = col
-        cleared[low] = True
-        b, d = values[order[low]], values[sid]
-        if d > b:
-            births.append(b)
-            deaths.append(d)
-            dims.append(1)
-            ess.append(False)
-
-    # --- edges (skipping cleared ones): nonzero reduced column pairs a vertex
-    # (H0 creator) with the merging edge; a zero column is an essential H1 class
-    owner0: dict[int, list[int]] = {}
+    # --- edges (skipping cleared ones): a nonzero reduced column pairs a
+    # vertex (H0 creator, its pivot) with the merging edge; a zero column is
+    # an essential H1 class born at the edge
     edge_pos = np.sort(pos[nv : nv + ne])
-    for p in edge_pos:
-        if cleared[p]:
-            continue
-        eid = order[p]
-        a, b2 = filt.edge_endpoints(int(eid))
-        pa, pb = int(pos[a]), int(pos[b2])
-        col = [pa, pb] if pa < pb else [pb, pa]
-        while col:
-            low = col[-1]
-            other = owner0.get(low)
-            if other is None:
-                break
-            col = _symdiff(col, other)
-        if col:
-            low = col[-1]
-            owner0[low] = col
-            b, d = values[order[low]], values[eid]
-            if d > b:
-                births.append(b)
-                deaths.append(d)
-                dims.append(0)
-                ess.append(False)
-        else:
-            births.append(values[eid])
-            deaths.append(np.nan)
-            dims.append(1)
-            ess.append(True)
+    eids = order[edge_pos[~cleared[edge_pos]]]
+    lows0 = np.array(_reduce(_columns(filt, eids, _edge_faces)), dtype=np.int64)
+    merged = lows0 >= 0
+    b0 = values[eids].copy()
+    b0[merged] = values[order[lows0[merged]]]
+    d0 = np.where(merged, values[eids], np.nan)
+    keep0 = ~merged | (d0 > b0)
 
     # --- unpaired vertices are essential H0 classes
-    vert_pos = pos[:nv]
-    paired = np.zeros(n, dtype=bool)
-    if owner0:
-        paired[np.fromiter(owner0.keys(), dtype=np.int64)] = True
-    for p in vert_pos:
-        if not paired[p]:
-            births.append(values[order[p]])
-            deaths.append(np.nan)
-            dims.append(0)
-            ess.append(True)
+    paired = np.zeros(filt.n_cells, dtype=bool)
+    paired[lows0[merged]] = True
+    born = ~paired[pos[:nv]]
 
+    keep1 = d1 > b1
+    n1, nb = int(keep1.sum()), int(born.sum())
     return Diagram(
-        np.array(births), np.array(deaths), np.array(dims, np.int8), np.array(ess, bool)
+        np.concatenate([b1[keep1], b0[keep0], values[:nv][born]]),
+        np.concatenate([d1[keep1], d0[keep0], np.full(nb, np.nan)]),
+        np.concatenate([np.ones(n1, np.int8), np.where(merged, 0, 1)[keep0], np.zeros(nb, np.int8)]),
+        np.concatenate([np.zeros(n1, bool), ~merged[keep0], np.ones(nb, bool)]),
     ).canonical()
 
 

@@ -194,21 +194,38 @@ def to_point_features(diag: Diagram, n_per_group: int = DEFAULT_N_PER_GROUP) -> 
     return out
 
 
+# json's spelling of the float reprs it does not share with Python
+_JSON_SPECIAL = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_POINT = (
+    '  {\n   "birth": %s,\n   "death": %s,\n   "dim": %d,\n   "essential": %s\n  }'
+)
+
+
+def _json_floats(a: np.ndarray) -> list[str]:
+    """Each float as json.dumps writes it."""
+    text = list(map(repr, a.tolist()))
+    if not np.all(np.isfinite(a)):
+        text = [_JSON_SPECIAL.get(t, t) for t in text]
+    return text
+
+
 def write_diagram(path, diag: Diagram) -> None:
-    """Serialize as JSON with canonical point ordering (lossless round trip)."""
+    """Serialize as JSON with canonical point ordering (lossless round trip).
+
+    The text is the bytes ``json.dump({"points": [...]}, f, indent=1)`` writes
+    for one {"birth", "death", "dim", "essential"} object per point, with a
+    null death for essential points, followed by a newline.
+    """
     d = diag.canonical()
     points = [
-        {
-            "birth": float(b),
-            "death": None if e else float(dd),
-            "dim": int(k),
-            "essential": bool(e),
-        }
-        for b, dd, k, e in zip(d.births, d.deaths, d.dims, d.essential)
+        _JSON_POINT % (b, "null" if e else dd, k, "true" if e else "false")
+        for b, dd, k, e in zip(
+            _json_floats(d.births), _json_floats(d.deaths), d.dims.tolist(), d.essential.tolist()
+        )
     ]
+    body = "[\n" + ",\n".join(points) + "\n ]" if points else "[]"
     with open(path, "w") as f:
-        json.dump({"points": points}, f, indent=1)
-        f.write("\n")
+        f.write('{\n "points": ' + body + "\n}\n")
 
 
 def read_diagram(path) -> Diagram:

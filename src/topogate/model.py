@@ -501,11 +501,12 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
     probs = np.zeros((len(dataset), k))
     labels = np.zeros(len(dataset), dtype=np.int64)
     for i, (image, features, label) in enumerate(dataset):
+        # [0] drops each forward's cache before the next forward runs
         if mode == "pd_only":
-            logits, _ = pd_only_forward(model, features)
+            logits = pd_only_forward(model, features)[0]
         else:
             img = np.asarray(image, dtype=np.float64) / 255.0
-            logits, _, _ = forward(model, img, features)
+            logits = forward(model, img, features)[0]
         probs[i] = _softmax(logits)
         labels[i] = label
     present = np.unique(labels)
@@ -571,6 +572,9 @@ def load_checkpoint(directory):
         size = int(np.prod(shape)) if shape else 1
         params[entry["name"]] = blob[offset : offset + size].reshape(shape).copy()
         offset += size
+    cfg = manifest["config"]
+    cfg["channels"] = tuple(cfg["channels"])
+    config = TrainConfig(**cfg)
     m = manifest["model"]
     model = PHGModel(
         params=params,
@@ -580,9 +584,7 @@ def load_checkpoint(directory):
         ratio=m["ratio"],
         share_encoder=m["share_encoder"],
         use_phg=m["use_phg"],
+        freeze_gates_at_one=config.freeze_gates_at_one,
     )
-    cfg = manifest["config"]
-    cfg["channels"] = tuple(cfg["channels"])
-    config = TrainConfig(**cfg)
     stats = NormalizationStats(np.array(manifest["stats"]["mean"]), np.array(manifest["stats"]["std"]))
     return model, config, stats

@@ -1,0 +1,104 @@
+"""Per-cell Z/2 boundary reduction: the loop version of
+``topogate.cubical.compute_persistence``, kept as the parity reference.
+
+Each cell's boundary is built in its own Python call, the way the reduction
+worked before its columns were built with numpy. The arithmetic is the same,
+so the two must agree bit for bit.
+"""
+
+import numpy as np
+
+from topogate.cubical import CubicalFiltration, _symdiff
+from topogate.diagram import Diagram
+
+
+def square_edges(filt: CubicalFiltration, cid: int) -> tuple[int, int, int, int]:
+    """Edge ids bounding a square cell anchored at its top-left pixel."""
+    w = filt.width
+    nv, nh = filt.n_vertices, filt.n_hedges
+    k = cid - nv - nh - filt.n_vedges
+    r, c = divmod(k, w - 1)
+    top = nv + r * (w - 1) + c
+    bottom = nv + (r + 1) * (w - 1) + c
+    left = nv + nh + r * w + c
+    right = left + 1
+    return top, bottom, left, right
+
+
+def reference_persistence(filt: CubicalFiltration) -> Diagram:
+    """Persistence diagram (H0 and H1) by per-cell column reduction."""
+    pos = filt.pos
+    order = filt.order
+    values = filt.values
+    n = filt.n_cells
+    nv = filt.n_vertices
+    ne = filt.n_hedges + filt.n_vedges
+
+    births: list[float] = []
+    deaths: list[float] = []
+    dims: list[int] = []
+    ess: list[bool] = []
+
+    owner: dict[int, list[int]] = {}
+    cleared = np.zeros(n, dtype=bool)
+    for p in np.sort(pos[nv + ne :]):
+        sid = order[p]
+        col = sorted(int(pos[e]) for e in square_edges(filt, int(sid)))
+        while col:
+            other = owner.get(col[-1])
+            if other is None:
+                break
+            col = _symdiff(col, other)
+        if not col:
+            continue
+        low = col[-1]
+        owner[low] = col
+        cleared[low] = True
+        b, d = values[order[low]], values[sid]
+        if d > b:
+            births.append(b)
+            deaths.append(d)
+            dims.append(1)
+            ess.append(False)
+
+    owner0: dict[int, list[int]] = {}
+    for p in np.sort(pos[nv : nv + ne]):
+        if cleared[p]:
+            continue
+        eid = order[p]
+        a, b2 = filt.edge_endpoints(int(eid))
+        pa, pb = int(pos[a]), int(pos[b2])
+        col = [pa, pb] if pa < pb else [pb, pa]
+        while col:
+            other = owner0.get(col[-1])
+            if other is None:
+                break
+            col = _symdiff(col, other)
+        if col:
+            low = col[-1]
+            owner0[low] = col
+            b, d = values[order[low]], values[eid]
+            if d > b:
+                births.append(b)
+                deaths.append(d)
+                dims.append(0)
+                ess.append(False)
+        else:
+            births.append(values[eid])
+            deaths.append(np.nan)
+            dims.append(1)
+            ess.append(True)
+
+    paired = np.zeros(n, dtype=bool)
+    if owner0:
+        paired[np.fromiter(owner0.keys(), dtype=np.int64)] = True
+    for p in pos[:nv]:
+        if not paired[p]:
+            births.append(values[order[p]])
+            deaths.append(np.nan)
+            dims.append(0)
+            ess.append(True)
+
+    return Diagram(
+        np.array(births), np.array(deaths), np.array(dims, np.int8), np.array(ess, bool)
+    ).canonical()

@@ -122,6 +122,27 @@ class TestTrainEval:
         for fname in ("manifest.json", "params.bin", "history.json"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
+    def test_eval_split_missing_class(self, tmp_path, dataset_dir, capsys):
+        run_dir, small = tmp_path / "run", tmp_path / "small"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir),
+                    "--epochs", "1", "--batch-size", "3"]) == 0
+        assert run(["gen", "--seed", "2", "--n", "2", "--size", "48", "--out", str(small)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", str(small), "--checkpoint", str(run_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(small) in err and "missing" in err
+
+    @pytest.mark.parametrize("text,says", [
+        ("name,class\nsample_00000.pgm,0\n", "missing column(s) file, label"),
+        ("file,label\nsample_00000.pgm,two\n", "integer"),
+        ("file,label\nsample_00000.pgm\n", "integer"),
+    ])
+    def test_malformed_labels_csv(self, tmp_path, dataset_dir, capsys, text, says):
+        (dataset_dir / "labels.csv").write_text(text)
+        assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "labels.csv" in err and says in err
+
     def test_eval_missing_checkpoint(self, dataset_dir, tmp_path):
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint",
                     str(tmp_path / "nothing")]) == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import alive_counts
+from cubical_reference import reference_persistence
 from topogate.cubical import (
     CubicalFiltration,
     FiltrationError,
@@ -13,7 +16,7 @@ from topogate.cubical import (
     grid_persistence,
     pair_h0_union_find,
 )
-from topogate.grid import betti_oracle, sublevel_mask
+from topogate.grid import betti_oracle, generate_shapes, sublevel_mask
 
 small_grids = arrays(
     np.int64,
@@ -75,6 +78,19 @@ class TestComputePersistence:
         with pytest.raises(FiltrationError):
             compute_persistence(bad)
 
+    @pytest.mark.parametrize("cell", ["edge", "square"])
+    def test_face_order_violation_detected(self, cell):
+        # constant grid: any order is sorted by value, so only face order is wrong
+        f = build_filtration(np.zeros((2, 2)))
+        face, cid = (0, f.n_vertices) if cell == "edge" else (f.n_vertices, f.n_cells - 1)
+        bad_pos = f.pos.copy()
+        bad_pos[[face, cid]] = bad_pos[[cid, face]]
+        bad_order = np.empty_like(f.order)
+        bad_order[bad_pos] = np.arange(f.n_cells)
+        bad = CubicalFiltration(f.height, f.width, f.values, f.dims, bad_order, bad_pos)
+        with pytest.raises(FiltrationError, match=f"{cell} precedes"):
+            compute_persistence(bad)
+
     def test_determinism(self, rng):
         g = rng.integers(0, 256, size=(12, 12))
         a = grid_persistence(g)
@@ -127,3 +143,39 @@ class TestUnionFindH0:
         uf = pair_h0_union_find(f).as_multiset()
         red = [p for p in compute_persistence(f).as_multiset() if p[2] == 0]
         assert uf == red
+
+
+def assert_bitwise_equal(a, b):
+    for field in ("births", "deaths", "dims", "essential"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+
+
+class TestReferenceParity:
+    """The reduction of numpy-built columns equals the per-cell reference
+    reduction bit for bit: same births, deaths, dims and essential flags."""
+
+    @staticmethod
+    def check(g):
+        f = build_filtration(g)
+        assert_bitwise_equal(compute_persistence(f), reference_persistence(f))
+
+    def test_exhaustive_3x3(self):
+        for values in itertools.product(range(3), repeat=9):
+            self.check(np.array(values).reshape(3, 3))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (16, 16)])
+    @pytest.mark.parametrize("levels", [2, 256])
+    def test_random_integer_grids(self, rng, shape, levels):
+        for _ in range(20):
+            self.check(rng.integers(0, levels, size=shape))
+
+    def test_random_float_grids(self, rng):
+        for _ in range(100):
+            h, w = rng.integers(1, 10, size=2)
+            self.check(rng.random((h, w)) * 10 - 5)
+
+    @pytest.mark.parametrize("size,n", [(64, 3), (224, 1)])
+    def test_shape_images(self, size, n):
+        for sample in generate_shapes(seed=7, n=n, size=size):
+            self.check(sample.image)

@@ -136,7 +136,38 @@ class TestPointFeatures:
             assert features_for_grid(g, n_per_group=150).shape == (300, 5)
 
 
+def json_dump_reference(path, diag):
+    """The writer's former body: one dict per point through json.dump."""
+    d = diag.canonical()
+    points = [
+        {"birth": float(b), "death": None if e else float(dd), "dim": int(k), "essential": bool(e)}
+        for b, dd, k, e in zip(d.births, d.deaths, d.dims, d.essential)
+    ]
+    with open(path, "w") as f:
+        json.dump({"points": points}, f, indent=1)
+        f.write("\n")
+
+
 class TestSerialization:
+    def test_bytes_match_json_dump(self, tmp_path, rng):
+        special = Diagram(
+            np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1, 7.0]),
+            np.array([np.inf, np.nan, -np.inf, 2.5, 1e300, np.nan, np.nan]),
+            np.array([0, 1, 0, 1, 0, 1, 0]),
+            np.array([False, False, False, False, False, True, True]),
+        )
+        diagrams = [Diagram.empty(), diag_of((0, math.inf, 0), (10, 200, 1)), special]
+        for _ in range(50):
+            n = int(rng.integers(0, 40))
+            births = rng.random(n) * 255
+            essential = rng.random(n) < 0.2
+            deaths = np.where(essential, np.nan, births + rng.random(n) * 50)
+            diagrams.append(Diagram(births, deaths, rng.integers(0, 2, n), essential))
+        for d in diagrams:
+            write_diagram(tmp_path / "a.json", d)
+            json_dump_reference(tmp_path / "b.json", d)
+            assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
     def test_roundtrip(self, tmp_path, rng):
         d = diag_of((0, math.inf, 0), (3, 9, 1), (1, 2, 0))
         path = tmp_path / "d.json"

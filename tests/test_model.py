@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="missing"):
             evaluate(model, ds)
 
+    def test_peak_memory_is_one_forward(self, rng):
+        # each forward's cache must be freed before the next forward runs
+        model = init_model(small_config(channels=(8, 8)))
+        ds = [(rng.integers(0, 256, (48, 48)).astype(np.uint8), random_features(rng), i % 3)
+              for i in range(6)]
+        img = ds[0][0] / 255.0
+        tracemalloc.start()
+        try:
+            forward(model, img, ds[0][1])
+            one = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            evaluate(model, ds)
+            six = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert six < 1.5 * one, (six, one)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, rng):
@@ -268,3 +287,12 @@ class TestCheckpoint:
         lv1, lt1, _ = forward(model, img, feats)
         lv2, lt2, _ = forward(loaded, img, feats)
         assert np.array_equal(lv1, lv2) and np.array_equal(lt1, lt2)
+
+    def test_roundtrip_keeps_frozen_gates(self, tmp_path, rng):
+        cfg = small_config(freeze_gates_at_one=True)
+        model = init_model(cfg)
+        save_checkpoint(tmp_path / "ck", model, cfg, NormalizationStats.identity())
+        loaded, cfg2, _ = load_checkpoint(tmp_path / "ck")
+        assert cfg2.freeze_gates_at_one and loaded.freeze_gates_at_one
+        img, feats = rng.random((8, 8)), random_features(rng)
+        assert np.array_equal(forward(model, img, feats)[0], forward(loaded, img, feats)[0])
