@@ -103,7 +103,7 @@ def cmd_vectorize(args) -> int:
     diag = dg.read_diagram(args.diagram)
     t_grid = vectorize.default_t_grid(args.samples, args.t_min, args.t_max)
     if args.method == "betti":
-        cols = [betti := vectorize.betti_curve(diag, t_grid)]
+        cols = [vectorize.betti_curve(diag, t_grid)]
         _write_curve_csv(args.out, ["t", "betti"], t_grid, cols)
     elif args.method == "landscape":
         cols = [vectorize.landscape(diag, k, t_grid) for k in range(1, args.levels + 1)]
@@ -145,7 +145,11 @@ def _dataset_hash(directory: str, names: list[str]) -> str:
 
 
 def cmd_gen(args) -> int:
-    samples = gridmod.generate_shapes(args.seed, args.n, args.size, noise=args.noise)
+    try:
+        samples = gridmod.generate_shapes(args.seed, args.n, args.size, noise=args.noise)
+    except ValueError as e:  # only the flag values can be out of range here
+        print(f"error: gen --size {args.size}: {e}", file=sys.stderr)
+        return 2
     os.makedirs(args.out, exist_ok=True)
     names = []
     with open(os.path.join(args.out, "labels.csv"), "w", newline="") as f:
@@ -183,6 +187,10 @@ def _load_dataset(directory: str):
         labels = [int(r["label"]) for r in rows]
     except (TypeError, ValueError):  # a short row gives None
         raise gridmod.FormatError(f"{path}: every label must be an integer") from None
+    if not labels:
+        raise gridmod.FormatError(f"{path}: no samples")
+    if min(labels) < 0:
+        raise gridmod.FormatError(f"{path}: labels must be non-negative")
     return [
         gridmod.SyntheticSample(image=gridmod.load_pgm(os.path.join(directory, r["file"])), label=y)
         for r, y in zip(rows, labels)
@@ -205,7 +213,7 @@ def cmd_train(args) -> int:
         share_encoder=args.share_encoder,
         mode=args.mode,
         use_phg=args.mode == "full",
-        n_classes=len(set(s.label for s in samples)),
+        n_classes=max(s.label for s in samples) + 1,
     )
     dataset, stats = pipeline.build_feature_dataset(samples, n_per_group=config.n_per_group)
     model, history = modelmod.train(dataset, config)
@@ -223,7 +231,11 @@ def cmd_eval(args) -> int:
     if not os.path.exists(os.path.join(args.checkpoint, "manifest.json")):
         print(f"error: no checkpoint manifest in {args.checkpoint}", file=sys.stderr)
         return 1
-    model, config, stats = modelmod.load_checkpoint(args.checkpoint)
+    try:
+        model, config, stats = modelmod.load_checkpoint(args.checkpoint)
+    except ValueError as e:  # the message names the malformed file
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     samples = _load_dataset(args.data)
     dataset, _ = pipeline.build_feature_dataset(
         samples, stats=stats, n_per_group=config.n_per_group

@@ -3,6 +3,7 @@ and synthetic shape datasets whose classes differ only in topology."""
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,7 +17,6 @@ __all__ = [
     "load_csv_grid",
     "sublevel_mask",
     "betti_oracle",
-    "count_components_unionfind",
     "generate_shapes",
     "SHAPE_CLASSES",
 ]
@@ -34,27 +34,22 @@ class SyntheticSample:
     label: int
 
 
+# a comment runs from '#' to the end of its line; a token ends at whitespace or '#'
+_PGM_TOKEN = re.compile(rb"#[^\n\r]*|([^\s#]+)")
+
+
 def _read_pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace-separated tokens, skipping '#' comments."""
+    """Read `count` whitespace-separated tokens, skipping '#' comments.
+
+    Returns the tokens and the position just past the last one.
+    """
     tokens: list[bytes] = []
-    i = start
-    n = len(data)
-    while len(tokens) < count and i < n:
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < n and data[i : i + 1] not in (b"\n", b"\r"):
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            tokens.append(data[i:j])
-            i = j
-    if len(tokens) < count:
-        raise FormatError("truncated PGM header")
-    return tokens, i
+    for match in _PGM_TOKEN.finditer(data, start):
+        if match.group(1) is not None:
+            tokens.append(match.group(1))
+            if len(tokens) == count:
+                return tokens, match.end()
+    raise FormatError("truncated PGM header")
 
 
 def load_pgm(path) -> np.ndarray:
@@ -154,39 +149,6 @@ def betti_oracle(mask: np.ndarray) -> tuple[int, int]:
                         queue.append((nr, nc))
     chi = v - e + f
     return beta0, beta0 - chi
-
-
-def count_components_unionfind(mask: np.ndarray) -> int:
-    """4-connected component count via union-find; independent of betti_oracle."""
-    mask = np.asarray(mask, dtype=bool)
-    h, w = mask.shape
-    parent = list(range(h * w))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    count = int(mask.sum())
-    for r in range(h):
-        for c in range(w):
-            if not mask[r, c]:
-                continue
-            i = r * w + c
-            if c + 1 < w and mask[r, c + 1]:
-                a, b = find(i), find(i + 1)
-                if a != b:
-                    parent[a] = b
-                    count -= 1
-            if r + 1 < h and mask[r + 1, c]:
-                a, b = find(i), find(i + w)
-                if a != b:
-                    parent[a] = b
-                    count -= 1
-    return count
 
 
 SHAPE_CLASSES = ("disk", "annulus", "two_disks")

@@ -1,6 +1,12 @@
 """Learned components: the permutation-invariant PD encoder, sigmoid gates
 that inject topological features into a small two-block CNN, the topological
 classifier head, joint loss, and deterministic training/evaluation loops.
+
+The PD encoding is computed once per sample. It gates both conv blocks, which
+`forward` runs in one loop and `backward` in the reversed loop, and it feeds
+the topological head. The encoder, the gates and the topological head are
+linear/relu stacks run by one private forward/backward pair, which the fused
+model and the `pd_only` variant share.
 """
 
 from __future__ import annotations
@@ -58,30 +64,52 @@ class TrainConfig:
 
 @dataclass
 class PHGModel:
-    """Vision stub (two conv-pool blocks) with per-block topological gates."""
+    """Vision stub (two conv-pool blocks) with per-block topological gates.
+
+    Only what the parameters cannot tell is stored: whether the topological
+    branch runs (`use_phg`) and whether the gates are held at one. The sizes
+    and the encoder layout are read from the parameter shapes.
+    """
 
     params: dict[str, np.ndarray]
-    n_classes: int
-    m_dim: int
-    channels: tuple[int, int]
-    ratio: int
-    share_encoder: bool
     use_phg: bool
     freeze_gates_at_one: bool = False
+
+    @property
+    def n_classes(self) -> int:
+        return self.params["vhead.b"].shape[0]
+
+    @property
+    def m_dim(self) -> int:
+        return self.params["thead.l1.w"].shape[1]
+
+    @property
+    def channels(self) -> tuple[int, int]:
+        return self.params["conv1.b"].shape[0], self.params["conv2.b"].shape[0]
+
+    @property
+    def share_encoder(self) -> bool:
+        return "enc.l1.w" in self.params
 
     def encoder_prefix(self, block: int) -> str:
         return "enc" if self.share_encoder else f"enc{block}"
 
 
-def _init_linear(params, rng, prefix, n_in, n_out):
-    params[f"{prefix}.w"] = nn.glorot_uniform(rng, n_in, n_out, (n_out, n_in))
-    params[f"{prefix}.b"] = np.zeros(n_out)
+def _encoder_layers(prefix: str) -> tuple[str, ...]:
+    return f"{prefix}.l1", f"{prefix}.l2", f"{prefix}.l3"
 
 
-def _init_encoder(params, rng, prefix, m_dim):
-    _init_linear(params, rng, f"{prefix}.l1", FEATURE_WIDTH, 64)
-    _init_linear(params, rng, f"{prefix}.l2", 64, 128)
-    _init_linear(params, rng, f"{prefix}.l3", 128, m_dim)
+def _gate_layers(prefix: str) -> tuple[str, ...]:
+    return f"{prefix}.reduce", f"{prefix}.expand"
+
+
+_THEAD = ("thead.l1", "thead.l2")  # topological classifier head
+
+
+def _init_mlp(params, rng, prefixes, widths):
+    for prefix, n_in, n_out in zip(prefixes, widths, widths[1:]):
+        params[f"{prefix}.w"] = nn.glorot_uniform(rng, n_in, n_out, (n_out, n_in))
+        params[f"{prefix}.b"] = np.zeros(n_out)
 
 
 def init_model(config: TrainConfig) -> PHGModel:
@@ -97,39 +125,59 @@ def init_model(config: TrainConfig) -> PHGModel:
     m = config.m_dim
 
     rng_v = np.random.default_rng([config.seed, 0])
-    params["conv1.w"] = nn.glorot_uniform(rng_v, 9, 9 * c1, (c1, 1, 3, 3))
-    params["conv1.b"] = np.zeros(c1)
-    params["conv2.w"] = nn.glorot_uniform(rng_v, 9 * c1, 9 * c2, (c2, c1, 3, 3))
-    params["conv2.b"] = np.zeros(c2)
-    _init_linear(params, rng_v, "vhead", c2, k)
+    for n, (c_in, c_out) in enumerate(((1, c1), (c1, c2)), 1):
+        params[f"conv{n}.w"] = nn.glorot_uniform(rng_v, 9 * c_in, 9 * c_out, (c_out, c_in, 3, 3))
+        params[f"conv{n}.b"] = np.zeros(c_out)
+    _init_mlp(params, rng_v, ("vhead",), (c2, k))
 
     rng_e = np.random.default_rng([config.seed, 1])
-    if config.share_encoder:
-        _init_encoder(params, rng_e, "enc", m)
-    else:
-        _init_encoder(params, rng_e, "enc0", m)
-        _init_encoder(params, rng_e, "enc1", m)
+    for prefix in ("enc",) if config.share_encoder else ("enc0", "enc1"):
+        _init_mlp(params, rng_e, _encoder_layers(prefix), (FEATURE_WIDTH, 64, 128, m))
 
     rng_g = np.random.default_rng([config.seed, 2])
     for i, c in enumerate((c1, c2)):
         hidden = max(1, math.ceil(c / config.ratio))
-        _init_linear(params, rng_g, f"gate{i}.reduce", m, hidden)
-        _init_linear(params, rng_g, f"gate{i}.expand", hidden, c)
+        _init_mlp(params, rng_g, _gate_layers(f"gate{i}"), (m, hidden, c))
 
     rng_t = np.random.default_rng([config.seed, 3])
-    _init_linear(params, rng_t, "thead.l1", m, 32)
-    _init_linear(params, rng_t, "thead.l2", 32, k)
+    _init_mlp(params, rng_t, _THEAD, (m, 32, k))
+    return _build_model(params, config)
 
+
+def _build_model(params: dict[str, np.ndarray], config: TrainConfig) -> PHGModel:
+    """Used by init and load alike; `vision_only` turns the topological branch off."""
     return PHGModel(
         params=params,
-        n_classes=k,
-        m_dim=m,
-        channels=(c1, c2),
-        ratio=config.ratio,
-        share_encoder=config.share_encoder,
-        use_phg=config.use_phg,
+        use_phg=config.use_phg and config.mode != "vision_only",
         freeze_gates_at_one=config.freeze_gates_at_one,
     )
+
+
+# ------------------------------------------------------------------------- MLP
+
+
+def _mlp_forward(params: dict, prefixes, x: np.ndarray):
+    """Linear layers named by `prefixes`, a relu between each two; returns (z, cache)."""
+    cache = []
+    for prefix in prefixes:
+        if cache:
+            x = nn.relu_forward(z)
+        z = nn.linear_forward(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
+        cache.append((x, z))
+    return z, cache
+
+
+def _mlp_backward(params: dict, prefixes, cache, dz: np.ndarray):
+    """Returns (dx, grads) for _mlp_forward."""
+    grads: dict[str, np.ndarray] = {}
+    dx = None
+    for prefix, (x, z) in zip(prefixes[::-1], cache[::-1]):
+        if dx is not None:
+            dz = nn.relu_backward(z, dx)
+        dx, grads[f"{prefix}.w"], grads[f"{prefix}.b"] = nn.linear_backward(
+            x, params[f"{prefix}.w"], dz
+        )
+    return dx, grads
 
 
 # ------------------------------------------------------------------ PD encoder
@@ -148,33 +196,15 @@ def encode_pd(features: np.ndarray, params: dict, prefix: str = "enc"):
     # padded rows are masked out of the pool and receive no gradient, so the
     # rowwise MLP only needs to run on the present rows (identical output)
     rows = np.nonzero(features[:, 4] > 0.5)[0]
-    real = features[rows]
-    z1 = nn.linear_forward(real, params[f"{prefix}.l1.w"], params[f"{prefix}.l1.b"])
-    a1 = nn.relu_forward(z1)
-    z2 = nn.linear_forward(a1, params[f"{prefix}.l2.w"], params[f"{prefix}.l2.b"])
-    a2 = nn.relu_forward(z2)
-    z3 = nn.linear_forward(a2, params[f"{prefix}.l3.w"], params[f"{prefix}.l3.b"])
-    t, argmax = nn.set_max_pool_forward(z3, np.ones(len(rows)))
-    cache = (real, z1, a1, z2, a2, z3, argmax)
-    return t, cache
+    z, mlp_cache = _mlp_forward(params, _encoder_layers(prefix), features[rows])
+    t, argmax = nn.set_max_pool_forward(z, np.ones(len(rows)))
+    return t, (mlp_cache, argmax)
 
 
 def encode_pd_backward(cache, params: dict, dt: np.ndarray, prefix: str = "enc") -> dict:
-    features, z1, a1, z2, a2, z3, argmax = cache
-    grads: dict[str, np.ndarray] = {}
-    dz3 = nn.set_max_pool_backward(z3.shape, argmax, dt)
-    da2, grads[f"{prefix}.l3.w"], grads[f"{prefix}.l3.b"] = nn.linear_backward(
-        a2, params[f"{prefix}.l3.w"], dz3
-    )
-    dz2 = nn.relu_backward(z2, da2)
-    da1, grads[f"{prefix}.l2.w"], grads[f"{prefix}.l2.b"] = nn.linear_backward(
-        a1, params[f"{prefix}.l2.w"], dz2
-    )
-    dz1 = nn.relu_backward(z1, da1)
-    _, grads[f"{prefix}.l1.w"], grads[f"{prefix}.l1.b"] = nn.linear_backward(
-        features, params[f"{prefix}.l1.w"], dz1
-    )
-    return grads
+    mlp_cache, argmax = cache
+    dz = nn.set_max_pool_backward(mlp_cache[-1][1].shape, argmax, dt)
+    return _mlp_backward(params, _encoder_layers(prefix), mlp_cache, dz)[1]
 
 
 # ------------------------------------------------------------------------ gate
@@ -182,26 +212,16 @@ def encode_pd_backward(cache, params: dict, dt: np.ndarray, prefix: str = "enc")
 
 def gate_forward(t: np.ndarray, params: dict, prefix: str):
     """Channel gate: sigmoid(expand(relu(reduce(t)))), every output in (0, 1)."""
-    zr = nn.linear_forward(t, params[f"{prefix}.reduce.w"], params[f"{prefix}.reduce.b"])
-    ar = nn.relu_forward(zr)
-    ze = nn.linear_forward(ar, params[f"{prefix}.expand.w"], params[f"{prefix}.expand.b"])
+    ze, mlp_cache = _mlp_forward(params, _gate_layers(prefix), t)
     g = nn.sigmoid_forward(ze)
-    return g, (t, zr, ar, g)
+    return g, (mlp_cache, g)
 
 
 def gate_backward(cache, params: dict, dg: np.ndarray, prefix: str):
     """Returns (dt, grads)."""
-    t, zr, ar, g = cache
-    grads: dict[str, np.ndarray] = {}
+    mlp_cache, g = cache
     dze = nn.sigmoid_backward(g, dg)
-    dar, grads[f"{prefix}.expand.w"], grads[f"{prefix}.expand.b"] = nn.linear_backward(
-        ar, params[f"{prefix}.expand.w"], dze
-    )
-    dzr = nn.relu_backward(zr, dar)
-    dt, grads[f"{prefix}.reduce.w"], grads[f"{prefix}.reduce.b"] = nn.linear_backward(
-        t, params[f"{prefix}.reduce.w"], dzr
-    )
-    return dt, grads
+    return _mlp_backward(params, _gate_layers(prefix), mlp_cache, dze)
 
 
 def refine(feature_map: np.ndarray, gate_vec: np.ndarray) -> np.ndarray:
@@ -227,67 +247,35 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray | None):
     cache: dict = {"x": x}
 
     phg = model.use_phg and pd_features is not None
+    gated = phg and not model.freeze_gates_at_one
     ts = []
     if phg:
-        for i in range(2):
-            prefix = model.encoder_prefix(i)
-            if model.share_encoder and i == 1:
-                ts.append(ts[0])
-                continue
-            t, ec = encode_pd(pd_features, p, prefix)
-            cache[f"enc_cache{i}"] = ec
+        for i in range(1 if model.share_encoder else 2):
+            t, cache[f"enc_cache{i}"] = encode_pd(pd_features, p, model.encoder_prefix(i))
             ts.append(t)
+        if model.share_encoder:
+            ts.append(ts[0])
 
-    y1, patches1 = nn.conv3x3_forward(x, p["conv1.w"], p["conv1.b"])
-    a1 = nn.relu_forward(y1)
-    if phg and not model.freeze_gates_at_one:
-        g1, gc1 = gate_forward(ts[0], p, "gate0")
-        cache["gate_cache0"] = gc1
-        a1g = refine(a1, g1)
-    else:
-        g1, a1g = None, a1
-    p1, arg1 = nn.maxpool2x2_forward(a1g)
+    h = x
+    for i, n in enumerate((1, 2)):
+        y, patches = nn.conv3x3_forward(h, p[f"conv{n}.w"], p[f"conv{n}.b"])
+        a = nn.relu_forward(y)
+        if gated:
+            g, cache[f"gate_cache{i}"] = gate_forward(ts[i], p, f"gate{i}")
+            ag = refine(a, g)
+        else:
+            g, ag = None, a
+        h, arg = nn.maxpool2x2_forward(ag)
+        cache.update({f"y{n}": y, f"a{n}": a, f"g{n}": g, f"a{n}g": ag,
+                      f"patches{n}": patches, f"arg{n}": arg, f"p{n}": h})
 
-    y2, patches2 = nn.conv3x3_forward(p1, p["conv2.w"], p["conv2.b"])
-    a2 = nn.relu_forward(y2)
-    if phg and not model.freeze_gates_at_one:
-        g2, gc2 = gate_forward(ts[1], p, "gate1")
-        cache["gate_cache1"] = gc2
-        a2g = refine(a2, g2)
-    else:
-        g2, a2g = None, a2
-    p2, arg2 = nn.maxpool2x2_forward(a2g)
-
-    pooled = nn.global_avg_pool_forward(p2)
+    pooled = nn.global_avg_pool_forward(h)
     logits_v = nn.linear_forward(pooled, p["vhead.w"], p["vhead.b"])
-
     if phg:
-        t_head = ts[0]
-        th1 = nn.linear_forward(t_head, p["thead.l1.w"], p["thead.l1.b"])
-        ta1 = nn.relu_forward(th1)
-        logits_t = nn.linear_forward(ta1, p["thead.l2.w"], p["thead.l2.b"])
-        cache["topo"] = (t_head, th1, ta1)
+        logits_t, cache["topo"] = _mlp_forward(p, _THEAD, ts[0])
     else:
         logits_t = np.zeros(model.n_classes)
-
-    cache.update(
-        phg=phg,
-        y1=y1,
-        a1=a1,
-        g1=g1,
-        a1g=a1g,
-        patches1=patches1,
-        arg1=arg1,
-        p1=p1,
-        y2=y2,
-        a2=a2,
-        g2=g2,
-        a2g=a2g,
-        patches2=patches2,
-        arg2=arg2,
-        p2=p2,
-        pooled=pooled,
-    )
+    cache.update(phg=phg, pooled=pooled)
     return logits_v, logits_t, cache
 
 
@@ -301,55 +289,32 @@ def backward(model: PHGModel, cache: dict, dlogits_v: np.ndarray, dlogits_t: np.
     dpooled, grads["vhead.w"], grads["vhead.b"] = nn.linear_backward(
         cache["pooled"], p["vhead.w"], dlogits_v
     )
-    dp2 = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
-    da2g = nn.maxpool2x2_backward(cache["a2g"].shape, cache["arg2"], dp2)
+    dh = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
     dt_terms = [np.zeros(model.m_dim), np.zeros(model.m_dim)]
-    if gated:
-        da2 = da2g * cache["g2"]
-        dg2 = (da2g * cache["a2"]).sum(axis=(0, 1))
-        dt2, g2_grads = gate_backward(cache["gate_cache1"], p, dg2, "gate1")
-        grads.update(g2_grads)
-        dt_terms[1] = dt2
-    else:
-        da2 = da2g
-    dy2 = nn.relu_backward(cache["y2"], da2)
-    dp1, grads["conv2.w"], grads["conv2.b"] = nn.conv3x3_backward(
-        cache["p1"], p["conv2.w"], cache["patches2"], dy2
-    )
-    da1g = nn.maxpool2x2_backward(cache["a1g"].shape, cache["arg1"], dp1)
-    if gated:
-        da1 = da1g * cache["g1"]
-        dg1 = (da1g * cache["a1"]).sum(axis=(0, 1))
-        dt1, g1_grads = gate_backward(cache["gate_cache0"], p, dg1, "gate0")
-        grads.update(g1_grads)
-        dt_terms[0] = dt1
-    else:
-        da1 = da1g
-    dy1 = nn.relu_backward(cache["y1"], da1)
-    _, grads["conv1.w"], grads["conv1.b"] = nn.conv3x3_backward(
-        cache["x"], p["conv1.w"], cache["patches1"], dy1
-    )
+    for i, n, h_in in ((1, 2, cache["p1"]), (0, 1, cache["x"])):
+        dag = nn.maxpool2x2_backward(cache[f"a{n}g"].shape, cache[f"arg{n}"], dh)
+        if gated:
+            da = dag * cache[f"g{n}"]
+            dg = (dag * cache[f"a{n}"]).sum(axis=(0, 1))
+            dt_terms[i], gate_grads = gate_backward(cache[f"gate_cache{i}"], p, dg, f"gate{i}")
+            grads.update(gate_grads)
+        else:
+            da = dag
+        dy = nn.relu_backward(cache[f"y{n}"], da)
+        dh, grads[f"conv{n}.w"], grads[f"conv{n}.b"] = nn.conv3x3_backward(
+            h_in, p[f"conv{n}.w"], cache[f"patches{n}"], dy
+        )
 
     if phg:
-        t_head, th1, ta1 = cache["topo"]
-        dta1, grads["thead.l2.w"], grads["thead.l2.b"] = nn.linear_backward(
-            ta1, p["thead.l2.w"], dlogits_t
-        )
-        dth1 = nn.relu_backward(th1, dta1)
-        dt_topo, grads["thead.l1.w"], grads["thead.l1.b"] = nn.linear_backward(
-            t_head, p["thead.l1.w"], dth1
-        )
+        dt_topo, head_grads = _mlp_backward(p, _THEAD, cache["topo"], dlogits_t)
+        grads.update(head_grads)
         dt_terms[0] = dt_terms[0] + dt_topo
         if model.share_encoder:
-            dt = dt_terms[0] + dt_terms[1]
-            enc_grads = encode_pd_backward(cache["enc_cache0"], p, dt, "enc")
-            grads.update(enc_grads)
-        else:
-            for i in range(2):
-                enc_grads = encode_pd_backward(
-                    cache[f"enc_cache{i}"], p, dt_terms[i], f"enc{i}"
-                )
-                grads.update(enc_grads)
+            dt_terms = [dt_terms[0] + dt_terms[1]]
+        for i, dt in enumerate(dt_terms):
+            grads.update(
+                encode_pd_backward(cache[f"enc_cache{i}"], p, dt, model.encoder_prefix(i))
+            )
     return grads
 
 
@@ -364,26 +329,15 @@ def total_loss(logits_v, logits_t, label: int, alpha: float):
 
 
 def pd_only_forward(model: PHGModel, pd_features: np.ndarray):
-    t, ec = encode_pd(pd_features, model.params, model.encoder_prefix(0))
-    p = model.params
-    th1 = nn.linear_forward(t, p["thead.l1.w"], p["thead.l1.b"])
-    ta1 = nn.relu_forward(th1)
-    logits = nn.linear_forward(ta1, p["thead.l2.w"], p["thead.l2.b"])
-    return logits, (ec, t, th1, ta1)
+    t, enc_cache = encode_pd(pd_features, model.params, model.encoder_prefix(0))
+    logits, head_cache = _mlp_forward(model.params, _THEAD, t)
+    return logits, (enc_cache, head_cache)
 
 
 def pd_only_backward(model: PHGModel, cache, dlogits: np.ndarray) -> dict:
-    ec, t, th1, ta1 = cache
-    p = model.params
-    grads: dict[str, np.ndarray] = {}
-    dta1, grads["thead.l2.w"], grads["thead.l2.b"] = nn.linear_backward(
-        ta1, p["thead.l2.w"], dlogits
-    )
-    dth1 = nn.relu_backward(th1, dta1)
-    dt, grads["thead.l1.w"], grads["thead.l1.b"] = nn.linear_backward(
-        t, p["thead.l1.w"], dth1
-    )
-    grads.update(encode_pd_backward(ec, p, dt, model.encoder_prefix(0)))
+    enc_cache, head_cache = cache
+    dt, grads = _mlp_backward(model.params, _THEAD, head_cache, dlogits)
+    grads.update(encode_pd_backward(enc_cache, model.params, dt, model.encoder_prefix(0)))
     return grads
 
 
@@ -416,8 +370,6 @@ def train(dataset, config: TrainConfig, eval_dataset=None):
     labels = {s[2] for s in dataset}
     if max(labels) >= config.n_classes:
         raise ValueError("label outside configured class range")
-    if config.mode == "vision_only":
-        config = _replace(config, use_phg=False)
     model = init_model(config)
     state = nn.AdamState(lr=config.lr)
     rng = np.random.default_rng([config.seed, 4])
@@ -456,13 +408,6 @@ def train(dataset, config: TrainConfig, eval_dataset=None):
     return model, history
 
 
-def _replace(config: TrainConfig, **kw) -> TrainConfig:
-    d = asdict(config)
-    d.update(kw)
-    d["channels"] = tuple(d["channels"])
-    return TrainConfig(**d)
-
-
 # ------------------------------------------------------------------ evaluation
 
 
@@ -477,19 +422,13 @@ def _auc_ovr(scores: np.ndarray, positives: np.ndarray) -> float:
     neg = scores[~positives]
     if len(pos) == 0 or len(neg) == 0:
         return math.nan
-    order = np.argsort(np.concatenate([pos, neg]), kind="stable")
-    ranks = np.empty(len(order))
-    all_scores = np.concatenate([pos, neg])[order]
-    # average ranks for ties
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and all_scores[j + 1] == all_scores[i]:
-            j += 1
-        ranks[i : j + 1] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    pos_ranks = ranks[np.argsort(order)][: len(pos)]
-    u = pos_ranks.sum() - len(pos) * (len(pos) + 1) / 2.0
+    # a tie group ending at 1-based rank `end` shares the rank (2 * end - count + 1) / 2
+    _, group, counts = np.unique(
+        np.concatenate([pos, neg]), return_inverse=True, return_counts=True
+    )
+    ends = np.cumsum(counts)
+    ranks = (2 * ends - counts + 1) / 2.0
+    u = ranks[group[: len(pos)]].sum() - len(pos) * (len(pos) + 1) / 2.0
     return float(u / (len(pos) * len(neg)))
 
 
@@ -546,7 +485,7 @@ def save_checkpoint(directory, model: PHGModel, config: TrainConfig, stats: Norm
             "n_classes": model.n_classes,
             "m_dim": model.m_dim,
             "channels": list(model.channels),
-            "ratio": model.ratio,
+            "ratio": config.ratio,
             "share_encoder": model.share_encoder,
             "use_phg": model.use_phg,
         },
@@ -561,30 +500,29 @@ def save_checkpoint(directory, model: PHGModel, config: TrainConfig, stats: Norm
 
 
 def load_checkpoint(directory):
-    """Returns (model, config, stats) written by save_checkpoint."""
-    with open(os.path.join(directory, "manifest.json")) as f:
+    """Returns (model, config, stats) written by save_checkpoint.
+
+    Raises ValueError naming the file when the manifest's format is not 1 or
+    the blob does not hold exactly the values the manifest lists.
+    """
+    manifest_path = os.path.join(directory, "manifest.json")
+    blob_path = os.path.join(directory, "params.bin")
+    with open(manifest_path) as f:
         manifest = json.load(f)
-    blob = np.fromfile(os.path.join(directory, "params.bin"), dtype="<f8")
-    params: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        params[entry["name"]] = blob[offset : offset + size].reshape(shape).copy()
-        offset += size
+    if manifest.get("format") != 1:
+        raise ValueError(f"{manifest_path}: unsupported format {manifest.get('format')!r}")
+    entries = manifest["params"]
+    sizes = [math.prod(entry["shape"]) for entry in entries]
+    with open(blob_path, "rb") as f:
+        data = f.read()
+    if len(data) != 8 * sum(sizes):
+        raise ValueError(
+            f"{blob_path}: holds {len(data)} bytes, the manifest lists {sum(sizes)} float64 values"
+        )
+    chunks = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
+    params = {e["name"]: c.reshape(e["shape"]).copy() for e, c in zip(entries, chunks)}
     cfg = manifest["config"]
     cfg["channels"] = tuple(cfg["channels"])
     config = TrainConfig(**cfg)
-    m = manifest["model"]
-    model = PHGModel(
-        params=params,
-        n_classes=m["n_classes"],
-        m_dim=m["m_dim"],
-        channels=tuple(m["channels"]),
-        ratio=m["ratio"],
-        share_encoder=m["share_encoder"],
-        use_phg=m["use_phg"],
-        freeze_gates_at_one=config.freeze_gates_at_one,
-    )
     stats = NormalizationStats(np.array(manifest["stats"]["mean"]), np.array(manifest["stats"]["std"]))
-    return model, config, stats
+    return _build_model(params, config), config, stats

@@ -128,7 +128,7 @@ def conv3x3_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     # patches[r, c] = 3x3 neighborhood flattened as (3, 3, cin)
     windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
     # windows: (h, w, cin, 3, 3) -> (h*w, cin*9)
-    patches = windows.transpose(0, 1, 2, 3, 4).reshape(h * w, cin * 9)
+    patches = windows.reshape(h * w, cin * 9)
     wmat = weight.reshape(cout, cin * 9)
     y = (patches @ wmat.T + bias).reshape(h, w, cout)
     return y, patches

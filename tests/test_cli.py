@@ -49,6 +49,20 @@ class TestCompute:
         assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
         assert (out / "good.json").exists() and not (out / "bad.json").exists()
 
+    def test_process_pool_matches_in_process(self, tmp_path, dataset_dir, monkeypatch):
+        src = tmp_path / "imgs"
+        src.mkdir()
+        for name in sorted(n for n in os.listdir(dataset_dir) if n.endswith(".pgm"))[:4]:
+            (src / name).write_bytes((dataset_dir / name).read_bytes())
+        (src / "bad.pgm").write_text("P2\n1 1\n65535\n1\n")
+        assert run(["compute", "--input", str(src), "--out", str(tmp_path / "serial")]) == 1
+        monkeypatch.setenv("TOPOGATE_THREADS", "2")
+        assert run(["compute", "--input", str(src), "--out", str(tmp_path / "pool")]) == 1
+        names = sorted(os.listdir(tmp_path / "serial"))
+        assert len(names) == 4 and names == sorted(os.listdir(tmp_path / "pool"))
+        for n in names:
+            assert (tmp_path / "serial" / n).read_bytes() == (tmp_path / "pool" / n).read_bytes()
+
     def test_roundtrip_preserves_diagram(self, tmp_path):
         d = Diagram.from_points([(0, math.inf, 0), (10, 200, 1)])
         p = tmp_path / "x.json"
@@ -97,6 +111,11 @@ class TestGen:
             h.append(json.loads((out / "manifest.json").read_text())["dataset_hash"])
         assert h[0] != h[1]
 
+    def test_size_below_minimum_is_usage_error(self, tmp_path, capsys):
+        assert run(["gen", "--seed", "1", "--n", "3", "--size", "16",
+                    "--out", str(tmp_path / "g")]) == 2
+        assert "--size 16" in capsys.readouterr().err
+
 
 class TestTrainEval:
     def test_train_eval_memorization(self, tmp_path, dataset_dir, capsys):
@@ -142,6 +161,36 @@ class TestTrainEval:
         assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "labels.csv" in err and says in err
+
+    @pytest.mark.parametrize("text,says", [
+        ("file,label\nsample_00000.pgm,-1\n", "non-negative"),
+        ("file,label\n", "no samples"),
+    ], ids=["negative", "empty"])
+    def test_label_set_rejected(self, tmp_path, dataset_dir, capsys, text, says):
+        (dataset_dir / "labels.csv").write_text(text)
+        assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert "labels.csv" in err and says in err
+
+    def test_labels_with_a_gap_train(self, tmp_path, dataset_dir):
+        rows = (dataset_dir / "labels.csv").read_text().splitlines()
+        kept = [rows[0]] + [r.replace(",1", ",2") for r in rows[1:] if not r.endswith(",2")]
+        (dataset_dir / "labels.csv").write_text("\n".join(kept) + "\n")
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir),
+                    "--epochs", "1", "--batch-size", "4", "--n-per-group", "8"]) == 0
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["config"]["n_classes"] == 3
+
+    def test_eval_truncated_checkpoint(self, tmp_path, dataset_dir, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), "--mode",
+                    "pd_only", "--epochs", "1", "--batch-size", "3", "--n-per-group", "8"]) == 0
+        blob = run_dir / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        capsys.readouterr()
+        assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
+        assert str(blob) in capsys.readouterr().err
 
     def test_eval_missing_checkpoint(self, dataset_dir, tmp_path):
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint",

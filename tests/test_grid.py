@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from grid_reference import count_components_unionfind
 from topogate.grid import (
     FormatError,
     betti_oracle,
-    count_components_unionfind,
     generate_shapes,
     load_csv_grid,
     load_pgm,
@@ -56,6 +56,14 @@ class TestLoadPgm:
         p = tmp_path / "e.pgm"
         p.write_text("P2\n# hello\n2 1\n255\n3 4\n")
         assert np.array_equal(load_pgm(p), [[3, 4]])
+
+    def test_comments_touching_tokens_and_inside_raster(self, tmp_path):
+        p = tmp_path / "g.pgm"
+        p.write_bytes(b"P2 2#width\n2 255#maxval\n1 2# first row\n\r3#x\n4\n")
+        assert np.array_equal(load_pgm(p), [[1, 2], [3, 4]])
+        p.write_bytes(b"P2\n2 2\n255\n1 2 # 3 4\n")
+        with pytest.raises(FormatError, match="truncated PGM header"):
+            load_pgm(p)
 
     def test_save_load_roundtrip(self, tmp_path, rng):
         img = rng.integers(0, 256, size=(5, 7)).astype(np.uint8)

@@ -16,6 +16,8 @@ from topogate.model import (
     gate_forward,
     init_model,
     load_checkpoint,
+    pd_only_backward,
+    pd_only_forward,
     refine,
     save_checkpoint,
     total_loss,
@@ -146,6 +148,29 @@ class TestForward:
         grads = backward(model, cache, dv, dt)
         for name in sorted(grads):
             nn.check_gradient(lambda _: loss_of()[0], model.params[name], grads[name])
+
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_pd_only_gradients(self, rng, share):
+        model = init_model(small_config(mode="pd_only", share_encoder=share))
+        feats = random_features(rng)
+
+        def loss_of():
+            logits, cache = pd_only_forward(model, feats)
+            return nn.softmax_cross_entropy(logits, 2), cache
+
+        (_, dlogits), cache = loss_of()
+        grads = pd_only_backward(model, cache, dlogits)
+        prefix = model.encoder_prefix(0)
+        assert set(grads) == {n for n in model.params if n.startswith((f"{prefix}.", "thead."))}
+        for name in sorted(grads):
+            nn.check_gradient(lambda _: loss_of()[0][0], model.params[name], grads[name])
+
+    def test_vision_only_never_uses_phg(self, rng):
+        model = init_model(TrainConfig(mode="vision_only"))
+        assert model.use_phg is False
+        _, logits_t, cache = forward(model, rng.random((8, 8)), random_features(rng))
+        assert not cache["phg"] and np.array_equal(logits_t, np.zeros(3))
 
 
 class TestTotalLoss:
@@ -287,6 +312,31 @@ class TestCheckpoint:
         lv1, lt1, _ = forward(model, img, feats)
         lv2, lt2, _ = forward(loaded, img, feats)
         assert np.array_equal(lv1, lv2) and np.array_equal(lt1, lt2)
+
+    @pytest.mark.parametrize("share", [True, False])
+    def test_roundtrip_keeps_sizes(self, tmp_path, share):
+        cfg = small_config(channels=(4, 6), m_dim=5, n_classes=4, share_encoder=share)
+        model = init_model(cfg)
+        save_checkpoint(tmp_path / "ck", model, cfg, NormalizationStats.identity())
+        loaded, _, _ = load_checkpoint(tmp_path / "ck")
+        for m in (model, loaded):
+            assert (m.n_classes, m.m_dim, m.channels, m.share_encoder) == (4, 5, (4, 6), share)
+
+    @pytest.mark.parametrize("corrupt,says", [
+        (lambda ck: (ck / "params.bin").write_bytes((ck / "params.bin").read_bytes()[:-8]),
+         "params.bin"),
+        (lambda ck: (ck / "params.bin").write_bytes((ck / "params.bin").read_bytes() + b"\0" * 8),
+         "params.bin"),
+        (lambda ck: (ck / "manifest.json").write_text(
+            (ck / "manifest.json").read_text().replace('"format": 1', '"format": 2')),
+         "manifest.json: unsupported format 2"),
+    ], ids=["truncated", "overlong", "format2"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, corrupt, says):
+        cfg = small_config()
+        save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
+        corrupt(tmp_path / "ck")
+        with pytest.raises(ValueError, match=says):
+            load_checkpoint(tmp_path / "ck")
 
     def test_roundtrip_keeps_frozen_gates(self, tmp_path, rng):
         cfg = small_config(freeze_gates_at_one=True)
