@@ -23,9 +23,6 @@ from . import model as modelmod
 from . import pipeline, vectorize
 from .cubical import grid_persistence
 
-THREADS_ENV = "TOPOGATE_THREADS"
-
-
 def _print_config(args: argparse.Namespace) -> None:
     resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     print("config:", json.dumps(resolved, default=str, sort_keys=True))
@@ -40,18 +37,6 @@ def _load_image(path: str) -> np.ndarray:
 # -------------------------------------------------------------------- compute
 
 
-def _compute_one(task) -> tuple[str, str | None]:
-    in_path, out_path, min_pers, finitize_at = task
-    try:
-        diag = pipeline.preprocess_diagram(
-            grid_persistence(_load_image(in_path)), finitize_at, min_pers
-        )
-        dg.write_diagram(out_path, diag)
-        return in_path, None
-    except Exception as e:  # per-file isolation: report, don't abort the batch
-        return in_path, str(e)
-
-
 def cmd_compute(args) -> int:
     if os.path.isdir(args.input):
         names = sorted(
@@ -63,71 +48,51 @@ def cmd_compute(args) -> int:
     else:
         inputs = [args.input]
     os.makedirs(args.out, exist_ok=True)
-    tasks = [
-        (
-            p,
-            os.path.join(args.out, os.path.splitext(os.path.basename(p))[0] + ".json"),
-            args.min_pers,
-            args.finitize,
-        )
-        for p in inputs
-    ]
-    workers = int(os.environ.get(THREADS_ENV, "1"))
-    if workers > 1 and len(tasks) > 1:
-        # imported here: at module level it adds RSS to every command
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_compute_one, tasks))
-    else:
-        results = [_compute_one(t) for t in tasks]
-    failures = [(p, err) for p, err in results if err is not None]
-    for p, err in failures:
-        print(f"error: {p}: {err}", file=sys.stderr)
-    print(f"computed {len(results) - len(failures)}/{len(results)} diagrams -> {args.out}")
+    failures = 0
+    for path in inputs:
+        out_path = os.path.join(args.out, os.path.splitext(os.path.basename(path))[0] + ".json")
+        try:
+            diag = pipeline.preprocess_diagram(
+                grid_persistence(_load_image(path)), args.finitize, args.min_pers
+            )
+            dg.write_diagram(out_path, diag)
+        except Exception as e:  # per-file isolation: report, don't abort the batch
+            print(f"error: {path}: {e}", file=sys.stderr)
+            failures += 1
+    print(f"computed {len(inputs) - failures}/{len(inputs)} diagrams -> {args.out}")
     return 1 if failures else 0
 
 
 # ------------------------------------------------------------------ vectorize
 
 
-def _write_curve_csv(path, header: list[str], t_grid, columns: list[np.ndarray]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i, t in enumerate(t_grid):
-            writer.writerow([repr(float(t))] + [repr(float(c[i])) for c in columns])
-
-
 def cmd_vectorize(args) -> int:
     diag = dg.read_diagram(args.diagram)
-    t_grid = vectorize.default_t_grid(args.samples, args.t_min, args.t_max)
-    if args.method == "betti":
-        cols = [vectorize.betti_curve(diag, t_grid)]
-        _write_curve_csv(args.out, ["t", "betti"], t_grid, cols)
-    elif args.method == "landscape":
-        cols = [vectorize.landscape(diag, k, t_grid) for k in range(1, args.levels + 1)]
-        header = ["t"] + [f"landscape_k{k}" for k in range(1, args.levels + 1)]
-        _write_curve_csv(args.out, header, t_grid, cols)
-    elif args.method == "silhouette":
-        cols = [vectorize.silhouette(diag, args.power, t_grid)]
-        _write_curve_csv(args.out, ["t", f"silhouette_p{args.power:g}"], t_grid, cols)
-    elif args.method == "pimage":
+    if args.method == "pimage":
         lo = min([args.t_min] + [float(b) for b in diag.births])
         hi = max([args.t_max] + [float(d) for d in diag.deaths if np.isfinite(d)])
         spec = vectorize.ImageGridSpec(
             args.resolution, args.resolution, (lo, hi), (0.0, hi - lo), args.sigma
         )
-        img = vectorize.persistence_image(diag, spec)
-        with open(args.out, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(
-                [f"pimage_res{args.resolution}_sigma{args.sigma:g}_col{c}" for c in range(spec.cols)]
-            )
-            for row in img:
-                writer.writerow([repr(float(v)) for v in row])
-    else:
-        raise ValueError(f"unknown method {args.method}")
+        name = f"pimage_res{args.resolution}_sigma{args.sigma:g}"
+        header = [f"{name}_col{c}" for c in range(spec.cols)]
+        rows = vectorize.persistence_image(diag, spec)
+    else:  # a curve: one row per grid value t
+        t_grid = vectorize.default_t_grid(args.samples, args.t_min, args.t_max)
+        if args.method == "betti":
+            names, cols = ["betti"], [vectorize.betti_curve(diag, t_grid)]
+        elif args.method == "landscape":
+            ks = range(1, args.levels + 1)
+            names = [f"landscape_k{k}" for k in ks]
+            cols = [vectorize.landscape(diag, k, t_grid) for k in ks]
+        else:
+            names = [f"silhouette_p{args.power:g}"]
+            cols = [vectorize.silhouette(diag, args.power, t_grid)]
+        header, rows = ["t"] + names, np.column_stack([t_grid] + cols)
+    with open(args.out, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
     print(f"wrote {args.method} vectorization -> {args.out}")
     return 0
 
@@ -191,10 +156,15 @@ def _load_dataset(directory: str):
         raise gridmod.FormatError(f"{path}: no samples")
     if min(labels) < 0:
         raise gridmod.FormatError(f"{path}: labels must be non-negative")
-    return [
-        gridmod.SyntheticSample(image=gridmod.load_pgm(os.path.join(directory, r["file"])), label=y)
-        for r, y in zip(rows, labels)
-    ]
+    samples = []
+    for r, y in zip(rows, labels):
+        image_path = os.path.join(directory, r["file"])
+        try:
+            image = gridmod.load_pgm(image_path)
+        except gridmod.FormatError as e:
+            raise gridmod.FormatError(f"{image_path}: {e}") from None
+        samples.append(gridmod.SyntheticSample(image=image, label=y))
+    return samples
 
 
 # ----------------------------------------------------------------- train/eval
@@ -262,6 +232,19 @@ def _svg_header(width: int, height: int) -> list[str]:
     ]
 
 
+def _svg_frame(size: int, pad: int, *under: str) -> list[str]:
+    """A square plot: the SVG header, the lines in `under`, then the x and y axes."""
+    return _svg_header(size, size) + list(under) + [
+        f'<line x1="{pad}" y1="{size-pad}" x2="{size-pad}" y2="{size-pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{size-pad}" x2="{pad}" y2="{pad}" stroke="black"/>',
+    ]
+
+
+def _write_svg(path: str, lines: list[str]) -> None:
+    with open(path, "w") as f:
+        f.write("\n".join(lines + ["</svg>"]) + "\n")
+
+
 def _plot_diagram_svg(diag: dg.Diagram, path: str, size: int = 360) -> None:
     pad = 40
     finite = [float(d) for d in diag.deaths if np.isfinite(d)]
@@ -274,32 +257,22 @@ def _plot_diagram_svg(diag: dg.Diagram, path: str, size: int = 360) -> None:
     def sy(v):
         return size - pad - v * scale
 
-    lines = _svg_header(size, size)
-    lines.append(
+    diagonal = (
         f'<line x1="{sx(0):.2f}" y1="{sy(0):.2f}" x2="{sx(hi):.2f}" y2="{sy(hi):.2f}" '
         'stroke="gray" stroke-dasharray="4 3"/>'
     )
-    lines.append(
-        f'<line x1="{pad}" y1="{size-pad}" x2="{size-pad}" y2="{size-pad}" stroke="black"/>'
-    )
-    lines.append(f'<line x1="{pad}" y1="{size-pad}" x2="{pad}" y2="{pad}" stroke="black"/>')
+    lines = _svg_frame(size, pad, diagonal)
     colors = {0: "blue", 1: "orange"}
     d = diag.canonical()
     for b, dd, k, e in zip(d.births, d.deaths, d.dims, d.essential):
-        y = hi if e else float(dd)
-        marker = "square" if e else "circle"
-        if marker == "circle":
-            lines.append(
-                f'<circle cx="{sx(float(b)):.2f}" cy="{sy(y):.2f}" r="3" fill="{colors[int(k)]}"/>'
-            )
-        else:
-            lines.append(
-                f'<rect x="{sx(float(b))-3:.2f}" y="{sy(y)-3:.2f}" width="6" height="6" '
-                f'fill="{colors[int(k)]}"/>'
-            )
-    lines.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        # essential points sit on the top edge as squares
+        x, y, fill = sx(float(b)), sy(hi if e else float(dd)), colors[int(k)]
+        lines.append(
+            f'<rect x="{x-3:.2f}" y="{y-3:.2f}" width="6" height="6" fill="{fill}"/>'
+            if e
+            else f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="{fill}"/>'
+        )
+    _write_svg(path, lines)
 
 
 def _plot_curves_svg(t, columns: dict[str, np.ndarray], path: str, size: int = 360) -> None:
@@ -309,11 +282,7 @@ def _plot_curves_svg(t, columns: dict[str, np.ndarray], path: str, size: int = 3
     t0, t1 = float(t[0]), float(t[-1])
     xs = pad + (t - t0) / max(t1 - t0, 1e-12) * (size - 2 * pad)
     palette = ["blue", "orange", "green", "red", "purple", "brown"]
-    lines = _svg_header(size, size)
-    lines.append(
-        f'<line x1="{pad}" y1="{size-pad}" x2="{size-pad}" y2="{size-pad}" stroke="black"/>'
-    )
-    lines.append(f'<line x1="{pad}" y1="{size-pad}" x2="{pad}" y2="{pad}" stroke="black"/>')
+    lines = _svg_frame(size, pad)
     for i, (name, col) in enumerate(columns.items()):
         ys = size - pad - np.asarray(col) / hi * (size - 2 * pad)
         pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
@@ -321,9 +290,7 @@ def _plot_curves_svg(t, columns: dict[str, np.ndarray], path: str, size: int = 3
             f'<polyline points="{pts}" fill="none" stroke="{palette[i % len(palette)]}">'
             f"<title>{name}</title></polyline>"
         )
-    lines.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_svg(path, lines)
 
 
 def _plot_heatmap_svg(values: np.ndarray, path: str, cell: int = 12) -> None:
@@ -338,9 +305,7 @@ def _plot_heatmap_svg(values: np.ndarray, path: str, cell: int = 12) -> None:
                 f'<rect x="{c*cell}" y="{r*cell}" width="{cell}" height="{cell}" '
                 f'fill="rgb({shade},{shade},255)"/>'
             )
-    lines.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_svg(path, lines)
 
 
 def cmd_plot(args) -> int:
@@ -382,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute", help="compute persistence diagrams for images")
     p.add_argument("--input", required=True, help="PGM/CSV image or directory")
     p.add_argument("--out", required=True, help="output directory for diagram JSON")
-    p.add_argument("--min-pers", type=float, default=10.0, dest="min_pers")
-    p.add_argument("--finitize", type=float, default=255.0)
+    p.add_argument("--min-pers", type=float, default=pipeline.DEFAULT_MIN_PERS, dest="min_pers")
+    p.add_argument("--finitize", type=float, default=pipeline.DEFAULT_INTENSITY_MAX)
     p.set_defaults(func=cmd_compute)
 
     p = sub.add_parser("vectorize", help="vectorize a diagram to CSV")
@@ -392,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--samples", type=int, default=64)
     p.add_argument("--t-min", type=float, default=0.0, dest="t_min")
-    p.add_argument("--t-max", type=float, default=255.0, dest="t_max")
+    p.add_argument("--t-max", type=float, default=pipeline.DEFAULT_INTENSITY_MAX, dest="t_max")
     p.add_argument("--levels", type=int, default=5)
     p.add_argument("--power", type=float, default=1.0)
     p.add_argument("--sigma", type=float, default=10.0)
@@ -407,18 +372,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
+    # --epochs, --lr and --batch-size default to a shorter run than TrainConfig's
+    defaults = modelmod.TrainConfig()
     p = sub.add_parser("train", help="train a model on a generated dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["full", "vision_only", "pd_only"], default="full")
+    p.add_argument("--mode", choices=["full", "vision_only", "pd_only"], default=defaults.mode)
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=defaults.alpha)
     p.add_argument("--batch-size", type=int, default=16, dest="batch_size")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-per-group", type=int, default=150, dest="n_per_group")
-    p.add_argument("--ratio", type=int, default=8)
-    p.add_argument("--share-encoder", action=argparse.BooleanOptionalAction, default=True, dest="share_encoder")
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--n-per-group", type=int, default=dg.DEFAULT_N_PER_GROUP, dest="n_per_group")
+    p.add_argument("--ratio", type=int, default=defaults.ratio)
+    p.add_argument("--share-encoder", action=argparse.BooleanOptionalAction, default=defaults.share_encoder, dest="share_encoder")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")

@@ -5,8 +5,8 @@ squares fill 2x2 blocks. A cell's filtration value is the max over its
 vertices. H0/H1 pairing is computed by sparse boundary-matrix reduction over
 Z/2 with the clearing optimization: the boundary columns of squares and edges
 are built with numpy from cell ids, a chunk at a time in filtration order,
-and reduced as Python lists. A union-find elder-rule pass provides an
-independent H0 fast path.
+and reduced as Python lists. The union-find H0 pairing it is checked against
+lives with the tests.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "FiltrationError",
     "build_filtration",
     "compute_persistence",
-    "pair_h0_union_find",
     "grid_persistence",
 ]
 
@@ -178,7 +177,12 @@ def _symdiff(a: list[int], b: list[int]) -> list[int]:
 
 def _reduce(columns) -> list[int]:
     """Reduce boundary columns left to right over Z/2; returns the pivot (the
-    largest position) of each reduced column, -1 for a zero column."""
+    largest position) of each reduced column.
+
+    No column passed here reduces to zero, in any cell order: the squares of a
+    grid bound no 2-cycle, and the edges left once the square pass has cleared
+    its pivots hold no 1-cycle (a full grid is contractible).
+    """
     owner: dict[int, list[int]] = {}
     lows: list[int] = []
     for col in columns:
@@ -187,11 +191,8 @@ def _reduce(columns) -> list[int]:
             if other is None:
                 break
             col = _symdiff(col, other)
-        if col:
-            owner[col[-1]] = col
-            lows.append(col[-1])
-        else:
-            lows.append(-1)
+        owner[col[-1]] = col
+        lows.append(col[-1])
     return lows
 
 
@@ -211,97 +212,32 @@ def compute_persistence(filt: CubicalFiltration, validate: bool = True) -> Diagr
     ne = filt.n_hedges + filt.n_vedges
 
     # --- squares: each reduced column pairs an edge (H1 creator, its pivot)
-    # with the square killing it; those edges are cleared for the edge pass. A
-    # zero column would be an essential 2-cycle, impossible for planar grids.
+    # with the square killing it; those edges are cleared for the edge pass
     sids = order[np.sort(pos[nv + ne :])]
     lows = np.array(_reduce(_columns(filt, sids, _square_faces)), dtype=np.int64)
-    sq = lows >= 0
-    b1, d1 = values[order[lows[sq]]], values[sids[sq]]
+    b1, d1 = values[order[lows]], values[sids]
     cleared = np.zeros(filt.n_cells, dtype=bool)
-    cleared[lows[sq]] = True
+    cleared[lows] = True
 
-    # --- edges (skipping cleared ones): a nonzero reduced column pairs a
-    # vertex (H0 creator, its pivot) with the merging edge; a zero column is
-    # an essential H1 class born at the edge
+    # --- edges (skipping cleared ones): each reduced column pairs a vertex
+    # (H0 creator, its pivot) with the edge merging its component
     edge_pos = np.sort(pos[nv : nv + ne])
     eids = order[edge_pos[~cleared[edge_pos]]]
     lows0 = np.array(_reduce(_columns(filt, eids, _edge_faces)), dtype=np.int64)
-    merged = lows0 >= 0
-    b0 = values[eids].copy()
-    b0[merged] = values[order[lows0[merged]]]
-    d0 = np.where(merged, values[eids], np.nan)
-    keep0 = ~merged | (d0 > b0)
+    b0, d0 = values[order[lows0]], values[eids]
 
     # --- unpaired vertices are essential H0 classes
     paired = np.zeros(filt.n_cells, dtype=bool)
-    paired[lows0[merged]] = True
+    paired[lows0] = True
     born = ~paired[pos[:nv]]
 
-    keep1 = d1 > b1
-    n1, nb = int(keep1.sum()), int(born.sum())
+    keep1, keep0 = d1 > b1, d0 > b0
+    n1, n0, nb = int(keep1.sum()), int(keep0.sum()), int(born.sum())
     return Diagram(
         np.concatenate([b1[keep1], b0[keep0], values[:nv][born]]),
         np.concatenate([d1[keep1], d0[keep0], np.full(nb, np.nan)]),
-        np.concatenate([np.ones(n1, np.int8), np.where(merged, 0, 1)[keep0], np.zeros(nb, np.int8)]),
-        np.concatenate([np.zeros(n1, bool), ~merged[keep0], np.ones(nb, bool)]),
-    ).canonical()
-
-
-def pair_h0_union_find(filt: CubicalFiltration) -> Diagram:
-    """H0 pairs via union-find with the elder rule (reduction-equivalent).
-
-    On each merging edge, the component whose birth vertex is later in the
-    filtration order (larger birth value, ties by larger vertex id) dies.
-    """
-    pos = filt.pos
-    order = filt.order
-    values = filt.values
-    nv = filt.n_vertices
-    ne = filt.n_hedges + filt.n_vedges
-
-    parent = list(range(nv))
-    # birth vertex of each component tracked as its sorted position (encodes
-    # value with the deterministic tie-break)
-    birth_pos = [int(pos[v]) for v in range(nv)]
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    births: list[float] = []
-    deaths: list[float] = []
-
-    edge_pos = np.sort(pos[nv : nv + ne])
-    for p in edge_pos:
-        eid = int(order[p])
-        a, b = filt.edge_endpoints(eid)
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            continue
-        if birth_pos[ra] < birth_pos[rb]:
-            elder, younger = ra, rb
-        else:
-            elder, younger = rb, ra
-        parent[younger] = elder
-        bval = values[order[birth_pos[younger]]]
-        dval = values[eid]
-        if dval > bval:
-            births.append(bval)
-            deaths.append(dval)
-
-    ess_births = [
-        values[order[birth_pos[v]]] for v in range(nv) if parent[v] == v
-    ]
-    n_fin, n_ess = len(births), len(ess_births)
-    return Diagram(
-        np.array(births + ess_births),
-        np.array(deaths + [np.nan] * n_ess),
-        np.zeros(n_fin + n_ess, np.int8),
-        np.array([False] * n_fin + [True] * n_ess),
+        np.concatenate([np.ones(n1, np.int8), np.zeros(n0 + nb, np.int8)]),
+        np.concatenate([np.zeros(n0 + n1, bool), np.ones(nb, bool)]),
     ).canonical()
 
 

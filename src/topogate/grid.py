@@ -75,7 +75,10 @@ def load_pgm(path) -> np.ndarray:
         raise FormatError(f"bad maxval {maxval}")
     npix = width * height
     if magic == b"P5":
-        payload = data[pos + 1 : pos + 1 + npix]  # single whitespace byte after maxval
+        sep = data[pos : pos + 1]  # the raster starts one whitespace byte after maxval
+        if sep and not sep.isspace():
+            raise FormatError(f"P5 maxval must be followed by one whitespace byte, not {sep!r}")
+        payload = data[pos + 1 : pos + 1 + npix]
         if len(payload) < npix:
             raise FormatError("truncated P5 payload")
         values = np.frombuffer(payload, dtype=np.uint8, count=npix)
@@ -101,11 +104,14 @@ def save_pgm(path, grid: np.ndarray) -> None:
 
 
 def load_csv_grid(path) -> np.ndarray:
-    """Load a grid from CSV: one image row per line, comma-separated integers."""
+    """Load a grid from CSV: one image row per line, comma-separated integers
+    in 0..255."""
     try:
         values = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
     except ValueError as e:
         raise FormatError(f"malformed CSV grid: {e}") from e
+    if np.any((values < 0) | (values > 255)):
+        raise FormatError("CSV grid value out of range 0..255")
     return values
 
 

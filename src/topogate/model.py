@@ -14,12 +14,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tinynn as nn
-from .diagram import FEATURE_WIDTH, NormalizationStats
+from .diagram import DEFAULT_N_PER_GROUP, FEATURE_WIDTH, NormalizationStats
 
 __all__ = [
     "TrainConfig",
@@ -49,7 +49,7 @@ class TrainConfig:
     alpha: float = 0.1
     batch_size: int = 32
     seed: int = 0
-    n_per_group: int = 150
+    n_per_group: int = DEFAULT_N_PER_GROUP
     ratio: int = 8
     share_encoder: bool = True
     use_phg: bool = True
@@ -502,15 +502,32 @@ def save_checkpoint(directory, model: PHGModel, config: TrainConfig, stats: Norm
 def load_checkpoint(directory):
     """Returns (model, config, stats) written by save_checkpoint.
 
-    Raises ValueError naming the file when the manifest's format is not 1 or
-    the blob does not hold exactly the values the manifest lists.
+    Raises ValueError naming the file when the manifest is not a JSON object
+    of format 1 with "params", "config" (TrainConfig's fields) and "stats"
+    (two numbers each for "mean" and "std"), or when the blob does not hold
+    exactly the values the manifest lists.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     blob_path = os.path.join(directory, "params.bin")
     with open(manifest_path) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except ValueError as e:  # not JSON, or not text
+            raise ValueError(f"{manifest_path}: not JSON: {e}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != 1:
         raise ValueError(f"{manifest_path}: unsupported format {manifest.get('format')!r}")
+    missing = {"params", "config", "stats"} - manifest.keys()
+    if missing:
+        raise ValueError(f"{manifest_path}: missing {', '.join(sorted(missing))}")
+    cfg, stats = manifest["config"], manifest["stats"]
+    names = {f.name for f in fields(TrainConfig)}
+    if not isinstance(cfg, dict) or cfg.keys() != names:
+        got = sorted(cfg) if isinstance(cfg, dict) else type(cfg).__name__
+        raise ValueError(f"{manifest_path}: config must hold TrainConfig's fields, got {got}")
+    if not isinstance(stats, dict) or not all(_two_numbers(stats.get(k)) for k in ("mean", "std")):
+        raise ValueError(f"{manifest_path}: stats mean and std must each hold 2 numbers")
     entries = manifest["params"]
     sizes = [math.prod(entry["shape"]) for entry in entries]
     with open(blob_path, "rb") as f:
@@ -521,8 +538,14 @@ def load_checkpoint(directory):
         )
     chunks = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
     params = {e["name"]: c.reshape(e["shape"]).copy() for e, c in zip(entries, chunks)}
-    cfg = manifest["config"]
-    cfg["channels"] = tuple(cfg["channels"])
-    config = TrainConfig(**cfg)
-    stats = NormalizationStats(np.array(manifest["stats"]["mean"]), np.array(manifest["stats"]["std"]))
+    config = TrainConfig(**{**cfg, "channels": tuple(cfg["channels"])})
+    stats = NormalizationStats(np.array(stats["mean"]), np.array(stats["std"]))
     return _build_model(params, config), config, stats
+
+
+def _two_numbers(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    )

@@ -1,9 +1,10 @@
-"""Per-cell Z/2 boundary reduction: the loop version of
-``topogate.cubical.compute_persistence``, kept as the parity reference.
+"""Parity references for ``topogate.cubical.compute_persistence``.
 
-Each cell's boundary is built in its own Python call, the way the reduction
-worked before its columns were built with numpy. The arithmetic is the same,
-so the two must agree bit for bit.
+``reference_persistence`` is the per-cell Z/2 boundary reduction: each cell's
+boundary is built in its own Python call, the way the reduction worked before
+its columns were built with numpy. The arithmetic is the same, so the two must
+agree bit for bit. ``pair_h0_union_find`` pairs H0 by a different algorithm,
+union-find with the elder rule, and must give the same H0 pairs.
 """
 
 import numpy as np
@@ -101,4 +102,62 @@ def reference_persistence(filt: CubicalFiltration) -> Diagram:
 
     return Diagram(
         np.array(births), np.array(deaths), np.array(dims, np.int8), np.array(ess, bool)
+    ).canonical()
+
+
+def pair_h0_union_find(filt: CubicalFiltration) -> Diagram:
+    """H0 pairs via union-find with the elder rule (reduction-equivalent).
+
+    On each merging edge, the component whose birth vertex is later in the
+    filtration order (larger birth value, ties by larger vertex id) dies.
+    """
+    pos = filt.pos
+    order = filt.order
+    values = filt.values
+    nv = filt.n_vertices
+    ne = filt.n_hedges + filt.n_vedges
+
+    parent = list(range(nv))
+    # birth vertex of each component tracked as its sorted position (encodes
+    # value with the deterministic tie-break)
+    birth_pos = [int(pos[v]) for v in range(nv)]
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    births: list[float] = []
+    deaths: list[float] = []
+
+    edge_pos = np.sort(pos[nv : nv + ne])
+    for p in edge_pos:
+        eid = int(order[p])
+        a, b = filt.edge_endpoints(eid)
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if birth_pos[ra] < birth_pos[rb]:
+            elder, younger = ra, rb
+        else:
+            elder, younger = rb, ra
+        parent[younger] = elder
+        bval = values[order[birth_pos[younger]]]
+        dval = values[eid]
+        if dval > bval:
+            births.append(bval)
+            deaths.append(dval)
+
+    ess_births = [
+        values[order[birth_pos[v]]] for v in range(nv) if parent[v] == v
+    ]
+    n_fin, n_ess = len(births), len(ess_births)
+    return Diagram(
+        np.array(births + ess_births),
+        np.array(deaths + [np.nan] * n_ess),
+        np.zeros(n_fin + n_ess, np.int8),
+        np.array([False] * n_fin + [True] * n_ess),
     ).canonical()

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import alive_counts
+from cubical_reference import pair_h0_union_find
 from topogate import tinynn as nn
 from topogate.cli import main as cli_main
-from topogate.cubical import build_filtration, compute_persistence, pair_h0_union_find
+from topogate.cubical import build_filtration, compute_persistence
 from topogate.diagram import Diagram, to_point_features
 from topogate.grid import betti_oracle, generate_shapes, save_pgm, sublevel_mask
 from topogate.model import (

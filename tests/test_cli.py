@@ -49,20 +49,6 @@ class TestCompute:
         assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
         assert (out / "good.json").exists() and not (out / "bad.json").exists()
 
-    def test_process_pool_matches_in_process(self, tmp_path, dataset_dir, monkeypatch):
-        src = tmp_path / "imgs"
-        src.mkdir()
-        for name in sorted(n for n in os.listdir(dataset_dir) if n.endswith(".pgm"))[:4]:
-            (src / name).write_bytes((dataset_dir / name).read_bytes())
-        (src / "bad.pgm").write_text("P2\n1 1\n65535\n1\n")
-        assert run(["compute", "--input", str(src), "--out", str(tmp_path / "serial")]) == 1
-        monkeypatch.setenv("TOPOGATE_THREADS", "2")
-        assert run(["compute", "--input", str(src), "--out", str(tmp_path / "pool")]) == 1
-        names = sorted(os.listdir(tmp_path / "serial"))
-        assert len(names) == 4 and names == sorted(os.listdir(tmp_path / "pool"))
-        for n in names:
-            assert (tmp_path / "serial" / n).read_bytes() == (tmp_path / "pool" / n).read_bytes()
-
     def test_roundtrip_preserves_diagram(self, tmp_path):
         d = Diagram.from_points([(0, math.inf, 0), (10, 200, 1)])
         p = tmp_path / "x.json"
@@ -191,6 +177,12 @@ class TestTrainEval:
         capsys.readouterr()
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
         assert str(blob) in capsys.readouterr().err
+
+    def test_truncated_image_named(self, tmp_path, dataset_dir, capsys):
+        image = dataset_dir / "sample_00003.pgm"
+        image.write_bytes(image.read_bytes()[:100])
+        assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
+        assert f"error: {image}: truncated P5 payload" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint(self, dataset_dir, tmp_path):
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint",

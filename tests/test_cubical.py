@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import alive_counts
-from cubical_reference import reference_persistence
+from cubical_reference import pair_h0_union_find, reference_persistence
 from topogate.cubical import (
     CubicalFiltration,
     FiltrationError,
     build_filtration,
     compute_persistence,
     grid_persistence,
-    pair_h0_union_find,
 )
 from topogate.grid import betti_oracle, generate_shapes, sublevel_mask
 

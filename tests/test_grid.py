@@ -52,6 +52,12 @@ class TestLoadPgm:
         with pytest.raises(FormatError, match="truncated"):
             load_pgm(p)
 
+    def test_p5_raster_after_non_whitespace_rejected(self, tmp_path):
+        p = tmp_path / "h.pgm"
+        p.write_bytes(b"P5 2 1 255#c\n\x07\x08")
+        with pytest.raises(FormatError, match="whitespace"):
+            load_pgm(p)
+
     def test_comments_skipped(self, tmp_path):
         p = tmp_path / "e.pgm"
         p.write_text("P2\n# hello\n2 1\n255\n3 4\n")
@@ -76,6 +82,13 @@ class TestCsvGrid:
         p = tmp_path / "g.csv"
         p.write_text("0,2\n3,1\n")
         assert np.array_equal(load_csv_grid(p), [[0, 2], [3, 1]])
+
+    @pytest.mark.parametrize("value", [-40, 256])
+    def test_out_of_range_rejected(self, tmp_path, value):
+        p = tmp_path / "r.csv"
+        p.write_text(f"0,1\n{value},2\n")
+        with pytest.raises(FormatError, match="out of range"):
+            load_csv_grid(p)
 
     def test_malformed(self, tmp_path):
         p = tmp_path / "h.csv"

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -336,6 +337,25 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
         corrupt(tmp_path / "ck")
         with pytest.raises(ValueError, match=says):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("edit,says", [
+        (lambda m: "not json", "not JSON"),
+        (lambda m: "[1, 2]", "not a JSON object"),
+        (lambda m: json.dumps({k: v for k, v in m.items() if k != "params"}), "missing params"),
+        (lambda m: json.dumps({k: v for k, v in m.items() if k != "config"}), "missing config"),
+        (lambda m: json.dumps({k: v for k, v in m.items() if k != "stats"}), "missing stats"),
+        (lambda m: json.dumps({**m, "config": {**m["config"], "dropout": 0.5}}), "TrainConfig"),
+        (lambda m: json.dumps({**m, "stats": {**m["stats"], "mean": [0.0]}}), "2 numbers"),
+        (lambda m: json.dumps({**m, "stats": {**m["stats"], "std": [1.0, "x"]}}), "2 numbers"),
+    ], ids=["not-json", "array", "no-params", "no-config", "no-stats", "extra-config-key",
+            "short-mean", "text-std"])
+    def test_malformed_manifest_rejected(self, tmp_path, edit, says):
+        cfg = small_config()
+        save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
+        path = tmp_path / "ck" / "manifest.json"
+        path.write_text(edit(json.loads(path.read_text())))
+        with pytest.raises(ValueError, match=f"manifest.json: .*{says}"):
             load_checkpoint(tmp_path / "ck")
 
     def test_roundtrip_keeps_frozen_gates(self, tmp_path, rng):
