@@ -63,26 +63,17 @@ class CubicalFiltration:
     def n_cells(self) -> int:
         return len(self.values)
 
-    def edge_endpoints(self, cid: int) -> tuple[int, int]:
-        """Vertex ids of an edge cell."""
-        h, w = self.height, self.width
-        nv, nh = self.n_vertices, self.n_hedges
-        if cid < nv + nh:  # horizontal: (r, c) -- (r, c + 1)
-            k = cid - nv
-            r, c = divmod(k, w - 1)
-            a = r * w + c
-            return a, a + 1
-        k = cid - nv - nh  # vertical: (r, c) -- (r + 1, c)
-        r, c = divmod(k, w)
-        a = r * w + c
-        return a, a + w
-
 
 def build_filtration(grid: np.ndarray) -> CubicalFiltration:
-    """Build the sorted sublevel V-construction filtration of a grid."""
+    """Build the sorted sublevel V-construction filtration of a grid.
+
+    Raises ValueError unless the grid is 2D, non-empty and finite.
+    """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[0] < 1 or grid.shape[1] < 1:
         raise ValueError("grid must be a 2D array with positive dimensions")
+    if not np.isfinite(grid).all():
+        raise ValueError("grid must hold finite values, not NaN or infinity")
     h, w = grid.shape
     vvals = grid.ravel()
     hvals = np.maximum(grid[:, :-1], grid[:, 1:]).ravel()

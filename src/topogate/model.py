@@ -244,7 +244,7 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray | None):
     """
     p = model.params
     x = np.asarray(image, dtype=np.float64)[:, :, None]
-    cache: dict = {"x": x}
+    cache: dict = {}
 
     phg = model.use_phg and pd_features is not None
     gated = phg and not model.freeze_gates_at_one
@@ -291,19 +291,19 @@ def backward(model: PHGModel, cache: dict, dlogits_v: np.ndarray, dlogits_t: np.
     )
     dh = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
     dt_terms = [np.zeros(model.m_dim), np.zeros(model.m_dim)]
-    for i, n, h_in in ((1, 2, cache["p1"]), (0, 1, cache["x"])):
+    for i, n in ((1, 2), (0, 1)):
         dag = nn.maxpool2x2_backward(cache[f"a{n}g"].shape, cache[f"arg{n}"], dh)
         if gated:
-            da = dag * cache[f"g{n}"]
             dg = (dag * cache[f"a{n}"]).sum(axis=(0, 1))
             dt_terms[i], gate_grads = gate_backward(cache[f"gate_cache{i}"], p, dg, f"gate{i}")
             grads.update(gate_grads)
-        else:
-            da = dag
-        dy = nn.relu_backward(cache[f"y{n}"], da)
-        dh, grads[f"conv{n}.w"], grads[f"conv{n}.b"] = nn.conv3x3_backward(
-            h_in, p[f"conv{n}.w"], cache[f"patches{n}"], dy
-        )
+            dag *= cache[f"g{n}"]  # now the gradient of the ungated activation
+        dy = nn.relu_backward(cache[f"y{n}"], dag)
+        w, patches = p[f"conv{n}.w"], cache[f"patches{n}"]
+        if n == 2:
+            dh, grads["conv2.w"], grads["conv2.b"] = nn.conv3x3_backward(cache["p1"], w, patches, dy)
+        else:  # block 1's input is the image, which needs no gradient
+            grads["conv1.w"], grads["conv1.b"] = nn.conv3x3_param_backward(w, patches, dy)
 
     if phg:
         dt_topo, head_grads = _mlp_backward(p, _THEAD, cache["topo"], dlogits_t)
@@ -504,8 +504,10 @@ def load_checkpoint(directory):
 
     Raises ValueError naming the file when the manifest is not a JSON object
     of format 1 with "params", "config" (TrainConfig's fields) and "stats"
-    (two numbers each for "mean" and "std"), or when the blob does not hold
-    exactly the values the manifest lists.
+    (two numbers each for "mean" and "std"), when "params" does not list each
+    parameter the config builds once as {"name": str, "shape": [int, ...]}
+    with its shape, or when the blob does not hold exactly the values the
+    manifest lists.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     blob_path = os.path.join(directory, "params.bin")
@@ -528,7 +530,23 @@ def load_checkpoint(directory):
         raise ValueError(f"{manifest_path}: config must hold TrainConfig's fields, got {got}")
     if not isinstance(stats, dict) or not all(_two_numbers(stats.get(k)) for k in ("mean", "std")):
         raise ValueError(f"{manifest_path}: stats mean and std must each hold 2 numbers")
+    try:
+        config = TrainConfig(**{**cfg, "channels": tuple(cfg["channels"])})
+        shapes = {n: list(a.shape) for n, a in init_model(config).params.items()}
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{manifest_path}: config does not build a model: {e}") from None
     entries = manifest["params"]
+    if not isinstance(entries, list) or not all(map(_param_entry, entries)):
+        raise ValueError(
+            f"{manifest_path}: params must be a list of objects with a string name"
+            " and a shape of non-negative ints"
+        )
+    listed = {e["name"]: e["shape"] for e in entries}
+    if len(listed) != len(entries) or listed != shapes:
+        raise ValueError(
+            f"{manifest_path}: params must list each parameter the config builds once,"
+            " with its shape"
+        )
     sizes = [math.prod(entry["shape"]) for entry in entries]
     with open(blob_path, "rb") as f:
         data = f.read()
@@ -538,9 +556,17 @@ def load_checkpoint(directory):
         )
     chunks = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
     params = {e["name"]: c.reshape(e["shape"]).copy() for e, c in zip(entries, chunks)}
-    config = TrainConfig(**{**cfg, "channels": tuple(cfg["channels"])})
     stats = NormalizationStats(np.array(stats["mean"]), np.array(stats["std"]))
     return _build_model(params, config), config, stats
+
+
+def _param_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(type(d) is int and d >= 0 for d in entry["shape"])
+    )
 
 
 def _two_numbers(value) -> bool:

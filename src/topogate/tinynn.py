@@ -25,6 +25,8 @@ __all__ = [
     "softmax_cross_entropy",
     "conv3x3_forward",
     "conv3x3_backward",
+    "conv3x3_param_backward",
+    "conv3x3_input_backward",
     "maxpool2x2_forward",
     "maxpool2x2_backward",
     "global_avg_pool_forward",
@@ -49,7 +51,9 @@ def linear_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.nd
     """y = x @ W.T + b for x of shape (..., in), W of shape (out, in)."""
     if x.shape[-1] != weight.shape[1]:
         raise ValueError(f"linear: input width {x.shape[-1]} != {weight.shape[1]}")
-    return x @ weight.T + bias
+    y = x @ weight.T
+    y += bias
+    return y
 
 
 def linear_backward(x, weight, dy):
@@ -124,47 +128,63 @@ def conv3x3_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """
     h, w, cin = x.shape
     cout = weight.shape[0]
-    xp = np.pad(x, ((1, 1), (1, 1), (0, 0)))
-    # patches[r, c] = 3x3 neighborhood flattened as (3, 3, cin)
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(0, 1))
-    # windows: (h, w, cin, 3, 3) -> (h*w, cin*9)
-    patches = windows.reshape(h * w, cin * 9)
-    wmat = weight.reshape(cout, cin * 9)
-    y = (patches @ wmat.T + bias).reshape(h, w, cout)
-    return y, patches
+    xp = np.zeros((h + 2, w + 2, cin))
+    xp[1 : 1 + h, 1 : 1 + w] = x
+    # patches[r * w + c] = the 3x3 neighborhood of (r, c), flattened as (cin, 3, 3)
+    patches = np.empty((h, w, cin, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            patches[..., i, j] = xp[i : i + h, j : j + w]
+    patches = patches.reshape(h * w, cin * 9)
+    y = patches @ weight.reshape(cout, cin * 9).T
+    y += bias
+    return y.reshape(h, w, cout), patches
+
+
+def conv3x3_param_backward(weight: np.ndarray, patches: np.ndarray, dy: np.ndarray):
+    """Parameter gradients (dweight, dbias) for conv3x3_forward."""
+    dy2 = dy.reshape(-1, weight.shape[0])
+    return (dy2.T @ patches).reshape(weight.shape), dy2.sum(axis=0)
+
+
+def conv3x3_input_backward(x_shape, weight: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """Input gradient dx for conv3x3_forward: im2col's transpose (col2im)."""
+    h, w, cin = x_shape
+    cout = weight.shape[0]
+    dpatches = (dy.reshape(h * w, cout) @ weight.reshape(cout, cin * 9)).reshape(h, w, cin, 3, 3)
+    dxp = np.zeros((h + 2, w + 2, cin))
+    for i in range(3):
+        for j in range(3):
+            dxp[i : i + h, j : j + w] += dpatches[..., i, j]
+    return dxp[1 : 1 + h, 1 : 1 + w]
 
 
 def conv3x3_backward(x: np.ndarray, weight: np.ndarray, patches: np.ndarray, dy: np.ndarray):
     """Gradients (dx, dweight, dbias) for conv3x3_forward."""
-    h, w, cin = x.shape
-    cout = weight.shape[0]
-    dy2 = dy.reshape(h * w, cout)
-    wmat = weight.reshape(cout, cin * 9)
-    dweight = (dy2.T @ patches).reshape(weight.shape)
-    dbias = dy2.sum(axis=0)
-    dpatches = (dy2 @ wmat).reshape(h, w, cin, 3, 3)
-    dxp = np.zeros((h + 2, w + 2, cin))
-    for i in range(3):
-        for j in range(3):
-            dxp[i : i + h, j : j + w] += dpatches[:, :, :, i, j]
-    return dxp[1 : 1 + h, 1 : 1 + w], dweight, dbias
+    return (conv3x3_input_backward(x.shape, weight, dy), *conv3x3_param_backward(weight, patches, dy))
 
 
 def maxpool2x2_forward(x: np.ndarray):
     """2x2 max pooling, stride 2; even spatial dims required.
 
     Returns (y, argmax) with argmax holding the flat in-window winner index
-    (ties: first in row-major window order).
+    (ties: first in row-major window order) and y the winner itself, so of
+    -0.0 and 0.0 the earlier one. The winner comes from a tournament over the
+    four strided quadrants, in which the later element wins only if strictly
+    larger. NaN compares false, so y is NaN exactly where a window's top-left
+    element is NaN; a NaN elsewhere in a window is passed over.
     """
     h, w, c = x.shape
     if h % 2 or w % 2:
         raise ValueError("maxpool2x2 requires even spatial dimensions")
-    win = x.reshape(h // 2, 2, w // 2, 2, c).transpose(0, 2, 4, 1, 3).reshape(
-        h // 2, w // 2, c, 4
-    )
-    arg = win.argmax(axis=3)
-    y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
-    return y, arg
+    q = x.reshape(h // 2, 2, w // 2, 2, c)
+    right_top = q[:, 0, :, 1] > q[:, 0, :, 0]
+    top = np.where(right_top, q[:, 0, :, 1], q[:, 0, :, 0])
+    right_bottom = q[:, 1, :, 1] > q[:, 1, :, 0]
+    bottom = np.where(right_bottom, q[:, 1, :, 1], q[:, 1, :, 0])
+    lower = bottom > top
+    arg = np.where(lower, right_bottom + np.int8(2), right_top)
+    return np.where(lower, bottom, top), arg
 
 
 def maxpool2x2_backward(x_shape, argmax: np.ndarray, dy: np.ndarray) -> np.ndarray:

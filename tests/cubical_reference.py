@@ -1,16 +1,30 @@
 """Parity references for ``topogate.cubical.compute_persistence``.
 
 ``reference_persistence`` is the per-cell Z/2 boundary reduction: each cell's
-boundary is built in its own Python call, the way the reduction worked before
-its columns were built with numpy. The arithmetic is the same, so the two must
-agree bit for bit. ``pair_h0_union_find`` pairs H0 by a different algorithm,
-union-find with the elder rule, and must give the same H0 pairs.
+boundary is built in its own Python call (``edge_endpoints``, ``square_edges``),
+the way the reduction worked before its columns were built with numpy. The
+arithmetic is the same, so the two must agree bit for bit.
+``pair_h0_union_find`` pairs H0 by a different algorithm, union-find with the
+elder rule, and must give the same H0 pairs.
 """
 
 import numpy as np
 
 from topogate.cubical import CubicalFiltration, _symdiff
 from topogate.diagram import Diagram
+
+
+def edge_endpoints(filt: CubicalFiltration, cid: int) -> tuple[int, int]:
+    """Vertex ids of an edge cell."""
+    w = filt.width
+    nv, nh = filt.n_vertices, filt.n_hedges
+    if cid < nv + nh:  # horizontal: (r, c) -- (r, c + 1)
+        r, c = divmod(cid - nv, w - 1)
+        a = r * w + c
+        return a, a + 1
+    r, c = divmod(cid - nv - nh, w)  # vertical: (r, c) -- (r + 1, c)
+    a = r * w + c
+    return a, a + w
 
 
 def square_edges(filt: CubicalFiltration, cid: int) -> tuple[int, int, int, int]:
@@ -67,7 +81,7 @@ def reference_persistence(filt: CubicalFiltration) -> Diagram:
         if cleared[p]:
             continue
         eid = order[p]
-        a, b2 = filt.edge_endpoints(int(eid))
+        a, b2 = edge_endpoints(filt, int(eid))
         pa, pb = int(pos[a]), int(pos[b2])
         col = [pa, pb] if pa < pb else [pb, pa]
         while col:
@@ -136,7 +150,7 @@ def pair_h0_union_find(filt: CubicalFiltration) -> Diagram:
     edge_pos = np.sort(pos[nv : nv + ne])
     for p in edge_pos:
         eid = int(order[p])
-        a, b = filt.edge_endpoints(eid)
+        a, b = edge_endpoints(filt, eid)
         ra, rb = find(a), find(b)
         if ra == rb:
             continue

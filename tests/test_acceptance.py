@@ -182,6 +182,7 @@ def synthetic_split():
     return ds_tr, ds_te
 
 
+@pytest.mark.slow
 def test_criterion_7_synthetic_topology_task(synthetic_split):
     """PD-only >= 90% accuracy; stub+PHG mean accuracy >= bare stub over 5 seeds."""
     t0 = time.perf_counter()

@@ -178,6 +178,16 @@ class TestTrainEval:
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
         assert str(blob) in capsys.readouterr().err
 
+    def test_eval_params_entry_without_shape(self, tmp_path, dataset_dir, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), "--mode",
+                    "pd_only", "--epochs", "1", "--batch-size", "3", "--n-per-group", "8"]) == 0
+        path = run_dir / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "params": [{"name": "x"}]}))
+        capsys.readouterr()
+        assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
+        assert f"{path}: params must be" in capsys.readouterr().err
+
     def test_truncated_image_named(self, tmp_path, dataset_dir, capsys):
         image = dataset_dir / "sample_00003.pgm"
         image.write_bytes(image.read_bytes()[:100])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import alive_counts
-from cubical_reference import pair_h0_union_find, reference_persistence
+from cubical_reference import edge_endpoints, pair_h0_union_find, reference_persistence
 from topogate.cubical import (
     CubicalFiltration,
     FiltrationError,
@@ -45,10 +45,18 @@ class TestBuildFiltration:
         f = build_filtration(np.zeros((h, w)))
         assert f.n_cells == h * w + h * (w - 1) + (h - 1) * w + (h - 1) * (w - 1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_rejected(self, bad):
+        g = np.array([[0, 5, 0], [5, bad, 5], [0, 5, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            build_filtration(g)
+        with pytest.raises(ValueError, match="finite"):
+            grid_persistence(g)
+
     def test_faces_precede_cells(self):
         f = build_filtration(np.arange(12).reshape(3, 4))
         for eid in range(f.n_vertices, f.n_vertices + f.n_hedges + f.n_vedges):
-            a, b = f.edge_endpoints(eid)
+            a, b = edge_endpoints(f, eid)
             assert f.pos[a] < f.pos[eid] and f.pos[b] < f.pos[eid]
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import tinynn_reference as ref
 from topogate import tinynn as nn
 from topogate.diagram import NormalizationStats
 from topogate.grid import generate_shapes
@@ -215,6 +216,28 @@ class TestTraining:
             if name.startswith(("conv", "vhead")):
                 assert np.array_equal(m1.params[name], m2.params[name]), name
 
+    @pytest.mark.parametrize("kw", [
+        {}, {"mode": "pd_only"}, {"freeze_gates_at_one": True}, {"mode": "vision_only"},
+    ], ids=["full", "pd_only", "frozen-gates", "vision_only"])
+    def test_training_matches_reference_kernels(self, monkeypatch, kw):
+        """Byte-equal params and history with the kernels of tests/tinynn_reference.py."""
+        ds, _ = tiny_dataset(seed=14, n=9)
+        cfg = small_config(epochs=2, lr=1e-2, batch_size=4, seed=2, n_per_group=8, **kw)
+        runs = [train(ds, cfg)]
+        monkeypatch.setattr(nn, "linear_forward", ref.linear_forward)
+        monkeypatch.setattr(nn, "conv3x3_forward", ref.conv3x3_forward)
+        monkeypatch.setattr(nn, "conv3x3_backward", ref.conv3x3_backward)
+        monkeypatch.setattr(nn, "maxpool2x2_forward", ref.maxpool2x2_forward)
+        # the reference computes block 1's image gradient too, and drops it
+        monkeypatch.setattr(nn, "conv3x3_param_backward", lambda w, patches, dy: ref.conv3x3_backward(
+            np.empty(dy.shape[:2] + w.shape[1:2]), w, patches, dy)[1:])
+        runs.append(train(ds, cfg))
+        (m1, h1), (m2, h2) = runs
+        assert json.dumps(h1) == json.dumps(h2)
+        assert sorted(m1.params) == sorted(m2.params)
+        for name in m1.params:
+            assert m1.params[name].tobytes() == m2.params[name].tobytes(), name
+
     def test_training_determinism(self):
         ds, _ = tiny_dataset(seed=12)
         cfg = small_config(epochs=2, lr=1e-3, batch_size=4, seed=5, n_per_group=8)
@@ -356,6 +379,40 @@ class TestCheckpoint:
         path = tmp_path / "ck" / "manifest.json"
         path.write_text(edit(json.loads(path.read_text())))
         with pytest.raises(ValueError, match=f"manifest.json: .*{says}"):
+            load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("edit,says", [
+        (lambda ps: [{"name": "x"}], "list of objects"),
+        (lambda ps: {"conv1.b": [4]}, "list of objects"),
+        (lambda ps: ps + [7], "list of objects"),
+        (lambda ps: [{**ps[0], "name": 1}] + ps[1:], "list of objects"),
+        (lambda ps: [{**ps[0], "shape": [-1, 4]}] + ps[1:], "list of objects"),
+        (lambda ps: [{**ps[0], "shape": [4.0]}] + ps[1:], "list of objects"),
+        (lambda ps: [{**ps[0], "shape": [True] * len(ps[0]["shape"])}] + ps[1:], "list of objects"),
+        (lambda ps: ps[1:], "each parameter the config builds once"),
+        (lambda ps: ps + [ps[0]], "each parameter the config builds once"),
+        (lambda ps: ps + [{"name": "extra.w", "shape": [0]}], "each parameter the config builds once"),
+        (lambda ps: [{**e, "shape": e["shape"][::-1]} if e["name"] == "vhead.w" else e for e in ps],
+         "each parameter the config builds once"),
+    ], ids=["name-only", "object", "not-an-object", "int-name", "negative-dim", "float-dim",
+            "bool-dim", "missing-name", "duplicate-name", "extra-name", "transposed-shape"])
+    def test_malformed_params_rejected(self, tmp_path, edit, says):
+        cfg = small_config()
+        save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "params": edit(manifest["params"])}))
+        with pytest.raises(ValueError, match=f"manifest.json: .*{says}"):
+            load_checkpoint(tmp_path / "ck")
+
+    def test_config_that_builds_no_model_rejected(self, tmp_path):
+        cfg = small_config()
+        save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["config"]["channels"] = [4, 4, 4]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest.json: config does not build a model"):
             load_checkpoint(tmp_path / "ck")
 
     def test_roundtrip_keeps_frozen_gates(self, tmp_path, rng):

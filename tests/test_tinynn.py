@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import tinynn_reference as ref
 from topogate import tinynn as nn
 
 
@@ -107,6 +108,9 @@ class TestConvAndPooling:
         dy = rand(rng, 5, 6, 3)
         _, patches = nn.conv3x3_forward(x, w, b)
         dx, dw, db = nn.conv3x3_backward(x, w, patches, dy)
+        assert np.array_equal(nn.conv3x3_input_backward(x.shape, w, dy), dx)
+        dw1, db1 = nn.conv3x3_param_backward(w, patches, dy)
+        assert np.array_equal(dw1, dw) and np.array_equal(db1, db)
         nn.check_gradient(lambda v: np.sum(nn.conv3x3_forward(v, w, b)[0] * dy), x, dx)
         nn.check_gradient(lambda v: np.sum(nn.conv3x3_forward(x, v, b)[0] * dy), w, dw)
         nn.check_gradient(lambda v: np.sum(nn.conv3x3_forward(x, w, v)[0] * dy), b, db)
@@ -127,6 +131,75 @@ class TestConvAndPooling:
         dy = rand(rng, 2)
         dx = nn.global_avg_pool_backward(x.shape, dy)
         nn.check_gradient(lambda v: np.sum(nn.global_avg_pool_forward(v) * dy), x, dx)
+
+
+def bits(a: np.ndarray) -> bytes:
+    """dtype, shape and raw bytes: equal only if every value has the same bits."""
+    a = np.ascontiguousarray(a)
+    return str(a.dtype).encode() + repr(a.shape).encode() + a.tobytes()
+
+
+class TestReferenceParity:
+    """Bitwise agreement with the kernels in tests/tinynn_reference.py."""
+
+    @pytest.mark.parametrize("kind", ["random", "integer-ties", "signed-zeros"])
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (4, 6, 3), (64, 64, 16), (32, 32, 32)])
+    def test_maxpool_forward(self, rng, kind, shape):
+        if kind == "random":
+            x = rng.standard_normal(shape)
+        elif kind == "integer-ties":
+            x = rng.integers(-1, 2, shape).astype(np.float64)
+        else:  # windows of -0.0, 0.0 and some ones: ties between zeros of both signs
+            x = rng.choice([-0.0, 0.0, -0.0, 0.0, 1.0, -1.0], shape)
+        y, arg = nn.maxpool2x2_forward(x)
+        y0, arg0 = ref.maxpool2x2_forward(x)
+        assert bits(y) == bits(y0)
+        assert np.array_equal(arg, arg0)
+        dy = rng.standard_normal(y.shape)
+        assert bits(nn.maxpool2x2_backward(x.shape, arg, dy)) == bits(
+            nn.maxpool2x2_backward(x.shape, arg0, dy))
+
+    def test_maxpool_signed_zero_tie_keeps_first(self):
+        x = np.array([-0.0, 0.0, 0.0, -0.0]).reshape(2, 2, 1)
+        y, arg = nn.maxpool2x2_forward(x)
+        assert arg[0, 0, 0] == 0 and np.signbit(y[0, 0, 0])
+        y, arg = nn.maxpool2x2_forward(x[::-1].copy())  # 0.0, -0.0, -0.0, 0.0
+        assert arg[0, 0, 0] == 0 and not np.signbit(y[0, 0, 0])
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_maxpool_nan_as_documented(self, k):
+        """y is NaN exactly when the window's top-left element is NaN."""
+        x = np.array([1.0, 3.0, 2.0, 0.5])
+        x[k] = np.nan
+        y, arg = nn.maxpool2x2_forward(x.reshape(2, 2, 1))
+        if k == 0:
+            assert np.isnan(y[0, 0, 0]) and arg[0, 0, 0] == 0
+        else:
+            rest = np.where(np.isnan(x), -np.inf, x)
+            assert y[0, 0, 0] == rest.max() and arg[0, 0, 0] == rest.argmax()
+
+    @pytest.mark.parametrize("shape,cout", [((64, 64, 1), 16), ((32, 32, 16), 32), ((5, 7, 2), 3)])
+    def test_conv(self, rng, shape, cout):
+        x = rng.random(shape)
+        w, b = rng.standard_normal((cout, shape[2], 3, 3)), rng.standard_normal(cout)
+        # signed zeros in dy where the mask is off
+        dy = rng.standard_normal(shape[:2] + (cout,)) * (rng.random(shape[:2] + (cout,)) < 0.5)
+        for xin in (x, x[:, ::-1]):  # a flipped image is a strided view
+            y, patches = nn.conv3x3_forward(xin, w, b)
+            y0, patches0 = ref.conv3x3_forward(xin, w, b)
+            assert bits(y) == bits(y0) and bits(patches) == bits(patches0)
+            expected = ref.conv3x3_backward(xin, w, patches0, dy)
+            got = nn.conv3x3_backward(xin, w, patches, dy)
+            assert [bits(a) for a in got] == [bits(a) for a in expected]
+            # block 1 of the model takes only the parameter gradients
+            assert [bits(a) for a in nn.conv3x3_param_backward(w, patches, dy)] == [
+                bits(a) for a in expected[1:]]
+
+    @pytest.mark.parametrize("x_shape", [(7, 5), (300, 5), (5,)])
+    def test_linear_forward(self, rng, x_shape):
+        x = rng.standard_normal(x_shape)
+        w, b = rng.standard_normal((4, 5)), rng.standard_normal(4)
+        assert bits(nn.linear_forward(x, w, b)) == bits(ref.linear_forward(x, w, b))
 
 
 class TestComposition:
