@@ -67,7 +67,22 @@ def cmd_compute(args) -> int:
 
 
 def cmd_vectorize(args) -> int:
+    for flag, value, rule, ok in (
+        ("--sigma", args.sigma, "> 0", args.sigma > 0),
+        ("--power", args.power, ">= 0", args.power >= 0),
+        ("--levels", args.levels, ">= 1", args.levels >= 1),
+        ("--samples", args.samples, ">= 1", args.samples >= 1),
+        ("--resolution", args.resolution, ">= 1", args.resolution >= 1),
+        ("--t-max", args.t_max, f"> --t-min {args.t_min:g}", args.t_max > args.t_min),
+    ):
+        if not ok:
+            print(f"error: vectorize {flag} {value:g}: must be {rule}", file=sys.stderr)
+            return 2
     diag = dg.read_diagram(args.diagram)
+    if diag.essential.any():
+        print(f"error: {args.diagram}: essential point; vectorize needs a finitized diagram",
+              file=sys.stderr)
+        return 1
     if args.method == "pimage":
         lo = min([args.t_min] + [float(b) for b in diag.births])
         hi = max([args.t_max] + [float(d) for d in diag.deaths if np.isfinite(d)])
@@ -140,7 +155,9 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_dataset(directory: str):
+def _load_dataset(directory: str, mode: str):
+    """The samples labels.csv lists; the vision stub needs sides divisible by
+    4, since both of its max-pools halve the image."""
     path = os.path.join(directory, "labels.csv")
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -163,6 +180,11 @@ def _load_dataset(directory: str):
             image = gridmod.load_pgm(image_path)
         except gridmod.FormatError as e:
             raise gridmod.FormatError(f"{image_path}: {e}") from None
+        if mode != "pd_only" and (image.shape[0] % 4 or image.shape[1] % 4):
+            raise gridmod.FormatError(
+                f"{image_path}: {image.shape[0]}x{image.shape[1]} image; mode {mode} max-pools"
+                " it twice, so both sides must be divisible by 4"
+            )
         samples.append(gridmod.SyntheticSample(image=image, label=y))
     return samples
 
@@ -171,7 +193,7 @@ def _load_dataset(directory: str):
 
 
 def cmd_train(args) -> int:
-    samples = _load_dataset(args.data)
+    samples = _load_dataset(args.data, args.mode)
     config = modelmod.TrainConfig(
         epochs=args.epochs,
         lr=args.lr,
@@ -206,7 +228,7 @@ def cmd_eval(args) -> int:
     except ValueError as e:  # the message names the malformed file
         print(f"error: {e}", file=sys.stderr)
         return 1
-    samples = _load_dataset(args.data)
+    samples = _load_dataset(args.data, config.mode)
     dataset, _ = pipeline.build_feature_dataset(
         samples, stats=stats, n_per_group=config.n_per_group
     )
@@ -308,24 +330,54 @@ def _plot_heatmap_svg(values: np.ndarray, path: str, cell: int = 12) -> None:
     _write_svg(path, lines)
 
 
+def _read_curve_csv(path: str):
+    """Header and numeric rows of a `vectorize` CSV; FormatError naming the file."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f)) or [[]]
+    try:
+        data = [[float(v) for v in row] for row in rows]
+    except ValueError:
+        raise gridmod.FormatError(f"{path}: a cell below the header is not a number") from None
+    if not data or any(len(row) != len(header) for row in data):
+        raise gridmod.FormatError(f"{path}: needs a header and rows of as many numbers")
+    if header == ["t"]:
+        raise gridmod.FormatError(f"{path}: holds no column besides t")
+    data = np.array(data)
+    if not np.isfinite(data).all():
+        raise gridmod.FormatError(f"{path}: holds a NaN or infinite cell")
+    return header, data
+
+
+def _read_history(path: str):
+    """Epochs and losses of a history.json; FormatError naming the file."""
+    with open(path) as f:
+        try:
+            history = json.load(f)
+        except ValueError as e:  # not JSON, or not text
+            raise gridmod.FormatError(f"{path}: not JSON: {e}") from None
+    fields = ("epoch", "train_loss")
+    if not isinstance(history, list) or not history or not all(
+        isinstance(h, dict) and all(dg._number(h.get(k)) for k in fields) for h in history
+    ):
+        raise gridmod.FormatError(
+            f"{path}: must be a non-empty list of records with numeric epoch and train_loss"
+        )
+    epochs = np.array([h["epoch"] for h in history], dtype=np.float64)
+    return epochs, np.array([h["train_loss"] for h in history])
+
+
 def cmd_plot(args) -> int:
     if args.diagram:
         _plot_diagram_svg(dg.read_diagram(args.diagram), args.out)
     elif args.curve:
-        with open(args.curve, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            data = np.array([[float(v) for v in row] for row in reader])
+        header, data = _read_curve_csv(args.curve)
         if header[0] == "t":
             cols = {name: data[:, i + 1] for i, name in enumerate(header[1:])}
             _plot_curves_svg(data[:, 0], cols, args.out)
         else:
             _plot_heatmap_svg(data, args.out)
     elif args.history:
-        with open(args.history) as f:
-            history = json.load(f)
-        epochs = np.array([h["epoch"] for h in history], dtype=np.float64)
-        losses = np.array([h["train_loss"] for h in history])
+        epochs, losses = _read_history(args.history)
         _plot_curves_svg(epochs, {"train_loss": losses}, args.out)
     else:
         print("error: one of --diagram/--curve/--history is required", file=sys.stderr)

@@ -5,8 +5,8 @@ squares fill 2x2 blocks. A cell's filtration value is the max over its
 vertices. H0/H1 pairing is computed by sparse boundary-matrix reduction over
 Z/2 with the clearing optimization: the boundary columns of squares and edges
 are built with numpy from cell ids, a chunk at a time in filtration order,
-and reduced as Python lists. The union-find H0 pairing it is checked against
-lives with the tests.
+and reduced as Python lists. The filtration order and the reduction's
+pairings are checked by references that live with the tests.
 """
 
 from __future__ import annotations
@@ -19,15 +19,10 @@ from .diagram import Diagram
 
 __all__ = [
     "CubicalFiltration",
-    "FiltrationError",
     "build_filtration",
     "compute_persistence",
     "grid_persistence",
 ]
-
-
-class FiltrationError(RuntimeError):
-    """Internal-invariant violation: unsorted or face-violating filtration."""
 
 
 @dataclass(frozen=True)
@@ -43,7 +38,6 @@ class CubicalFiltration:
     height: int
     width: int
     values: np.ndarray  # per cell id, float64
-    dims: np.ndarray  # per cell id, int8
     order: np.ndarray  # sorted position -> cell id
     pos: np.ndarray  # cell id -> sorted position
 
@@ -83,17 +77,10 @@ def build_filtration(grid: np.ndarray) -> CubicalFiltration:
         np.maximum(grid[1:, :-1], grid[1:, 1:]),
     ).ravel()
     values = np.concatenate([vvals, hvals, uvals, svals])
-    dims = np.concatenate(
-        [
-            np.zeros(len(vvals), np.int8),
-            np.ones(len(hvals) + len(uvals), np.int8),
-            np.full(len(svals), 2, np.int8),
-        ]
-    )
     order = np.lexsort((np.arange(len(values)), values)).astype(np.int64)
     pos = np.empty(len(values), np.int64)
     pos[order] = np.arange(len(values))
-    return CubicalFiltration(h, w, values, dims, order, pos)
+    return CubicalFiltration(h, w, values, order, pos)
 
 
 # Boundary columns are converted to Python lists this many cells at a time,
@@ -128,21 +115,6 @@ def _columns(filt: CubicalFiltration, cids: np.ndarray, faces):
     filtration positions of its faces, as a list of ints."""
     for i in range(0, len(cids), _CHUNK):
         yield from np.sort(filt.pos[faces(filt, cids[i : i + _CHUNK])], axis=1).tolist()
-
-
-def _validate(filt: CubicalFiltration) -> None:
-    sorted_vals = filt.values[filt.order]
-    if np.any(np.diff(sorted_vals) < 0):
-        raise FiltrationError("filtration not sorted by value")
-    pos = filt.pos
-    nv = filt.n_vertices
-    ne = filt.n_hedges + filt.n_vedges
-    eids = np.arange(nv, nv + ne)
-    if np.any(pos[_edge_faces(filt, eids)] > pos[eids, None]):
-        raise FiltrationError("edge precedes one of its vertices")
-    sids = np.arange(nv + ne, filt.n_cells)
-    if np.any(pos[_square_faces(filt, sids)] > pos[sids, None]):
-        raise FiltrationError("square precedes one of its edges")
 
 
 def _symdiff(a: list[int], b: list[int]) -> list[int]:
@@ -187,15 +159,13 @@ def _reduce(columns) -> list[int]:
     return lows
 
 
-def compute_persistence(filt: CubicalFiltration, validate: bool = True) -> Diagram:
-    """Persistence diagram (H0 and H1) of a sorted cubical filtration.
+def compute_persistence(filt: CubicalFiltration) -> Diagram:
+    """Persistence diagram (H0 and H1) of a filtration from build_filtration.
 
     Column reduction of the Z/2 boundary matrix, squares first so that edge
     columns paired as H1 creators are cleared and skipped in the edge pass.
     Zero-persistence pairs are discarded; essential classes are flagged.
     """
-    if validate:
-        _validate(filt)
     pos = filt.pos
     order = filt.order
     values = filt.values
@@ -232,6 +202,6 @@ def compute_persistence(filt: CubicalFiltration, validate: bool = True) -> Diagr
     ).canonical()
 
 
-def grid_persistence(grid: np.ndarray, validate: bool = False) -> Diagram:
+def grid_persistence(grid: np.ndarray) -> Diagram:
     """Convenience: full H0/H1 persistence diagram of a grayscale grid."""
-    return compute_persistence(build_filtration(grid), validate=validate)
+    return compute_persistence(build_filtration(grid))

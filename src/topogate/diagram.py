@@ -228,27 +228,54 @@ def write_diagram(path, diag: Diagram) -> None:
         f.write('{\n "points": ' + body + "\n}\n")
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """math.isfinite, also for a JSON integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def read_diagram(path) -> Diagram:
-    """Read a diagram written by :func:`write_diagram`, enforcing invariants."""
+    """Read a diagram written by :func:`write_diagram`, enforcing invariants.
+
+    Raises DiagramFormatError naming the file unless it is JSON with a
+    "points" list of objects, each with a finite numeric "birth", a finite
+    numeric "death" above it (null for an essential point) and a "dim" of 0
+    or 1.
+    """
     try:
         with open(path) as f:
             payload = json.load(f)
     except json.JSONDecodeError as e:
-        raise DiagramFormatError(f"malformed diagram JSON: {e}") from e
+        raise DiagramFormatError(f"{path}: malformed diagram JSON: {e}") from e
     if not isinstance(payload, dict) or "points" not in payload:
-        raise DiagramFormatError("diagram JSON missing 'points'")
+        raise DiagramFormatError(f"{path}: diagram JSON missing 'points'")
+    if not isinstance(payload["points"], list):
+        raise DiagramFormatError(f"{path}: 'points' must be a list")
     births, deaths, dims, ess = [], [], [], []
-    for p in payload["points"]:
+    for i, p in enumerate(payload["points"]):
+        if not isinstance(p, dict):
+            raise DiagramFormatError(f"{path}: point {i} is not an object")
+        missing = {"birth", "death", "dim"} - p.keys()
+        if missing:
+            raise DiagramFormatError(f"{path}: point {i} lacks {', '.join(sorted(missing))}")
         b, d, k = p["birth"], p["death"], p["dim"]
+        if not _number(b) or not (d is None or _number(d)):
+            raise DiagramFormatError(f"{path}: point {i} has a non-numeric coordinate")
         e = bool(p.get("essential", d is None))
-        if not math.isfinite(b) or (d is not None and not math.isfinite(d)):
-            raise DiagramFormatError("non-finite diagram coordinate")
+        if not _finite(b) or (d is not None and not _finite(d)):
+            raise DiagramFormatError(f"{path}: non-finite diagram coordinate")
         if not e and d is not None and d <= b:
-            raise DiagramFormatError(f"death {d} <= birth {b}")
+            raise DiagramFormatError(f"{path}: death {d} <= birth {b}")
         if e != (d is None):
-            raise DiagramFormatError("essential flag inconsistent with death field")
-        if k not in (0, 1):
-            raise DiagramFormatError(f"bad homology dimension {k}")
+            raise DiagramFormatError(f"{path}: essential flag inconsistent with death field")
+        if isinstance(k, bool) or k not in (0, 1):
+            raise DiagramFormatError(f"{path}: bad homology dimension {k}")
         births.append(b)
         deaths.append(math.nan if e else d)
         dims.append(k)

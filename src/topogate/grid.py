@@ -23,7 +23,7 @@ __all__ = [
 
 
 class FormatError(ValueError):
-    """Raised for malformed image or grid files."""
+    """Raised for malformed input files: images, grids, labels, curves, histories."""
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,6 @@ def generate_shapes(
     seed: int,
     n: int,
     size: int = 64,
-    classes: tuple[str, ...] = SHAPE_CLASSES,
     noise: int = 20,
 ) -> list[SyntheticSample]:
     """Generate `n` synthetic 8-bit images with topology-only class separation.
@@ -185,14 +184,11 @@ def generate_shapes(
     """
     if size < 32:
         raise ValueError("size must be >= 32")
-    unknown = set(classes) - set(SHAPE_CLASSES)
-    if unknown:
-        raise ValueError(f"unknown shape classes: {sorted(unknown)}")
     rng = np.random.default_rng(seed)
     samples: list[SyntheticSample] = []
     for i in range(n):
-        label = i % len(classes)
-        kind = classes[label]
+        label = i % len(SHAPE_CLASSES)
+        kind = SHAPE_CLASSES[label]
         base_r = rng.uniform(0.14, 0.18) * size
         margin = base_r * 1.5 + 2
         fg = np.zeros((size, size), dtype=bool)

@@ -54,12 +54,9 @@ class TrainConfig:
     share_encoder: bool = True
     use_phg: bool = True
     mode: str = "full"  # full | vision_only | pd_only
-    augment: bool = True
     m_dim: int = 64
     channels: tuple[int, int] = (16, 32)
     n_classes: int = 3
-    freeze_gates_at_one: bool = False  # diagnostic: gates output exactly 1
-    lr_power: float = 0.9
 
 
 @dataclass
@@ -67,13 +64,12 @@ class PHGModel:
     """Vision stub (two conv-pool blocks) with per-block topological gates.
 
     Only what the parameters cannot tell is stored: whether the topological
-    branch runs (`use_phg`) and whether the gates are held at one. The sizes
-    and the encoder layout are read from the parameter shapes.
+    branch runs (`use_phg`). The sizes and the encoder layout are read from
+    the parameter shapes.
     """
 
     params: dict[str, np.ndarray]
     use_phg: bool
-    freeze_gates_at_one: bool = False
 
     @property
     def n_classes(self) -> int:
@@ -146,11 +142,7 @@ def init_model(config: TrainConfig) -> PHGModel:
 
 def _build_model(params: dict[str, np.ndarray], config: TrainConfig) -> PHGModel:
     """Used by init and load alike; `vision_only` turns the topological branch off."""
-    return PHGModel(
-        params=params,
-        use_phg=config.use_phg and config.mode != "vision_only",
-        freeze_gates_at_one=config.freeze_gates_at_one,
-    )
+    return PHGModel(params=params, use_phg=config.use_phg and config.mode != "vision_only")
 
 
 # ------------------------------------------------------------------------- MLP
@@ -247,7 +239,6 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray | None):
     cache: dict = {}
 
     phg = model.use_phg and pd_features is not None
-    gated = phg and not model.freeze_gates_at_one
     ts = []
     if phg:
         for i in range(1 if model.share_encoder else 2):
@@ -260,7 +251,7 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray | None):
     for i, n in enumerate((1, 2)):
         y, patches = nn.conv3x3_forward(h, p[f"conv{n}.w"], p[f"conv{n}.b"])
         a = nn.relu_forward(y)
-        if gated:
+        if phg:
             g, cache[f"gate_cache{i}"] = gate_forward(ts[i], p, f"gate{i}")
             ag = refine(a, g)
         else:
@@ -284,7 +275,6 @@ def backward(model: PHGModel, cache: dict, dlogits_v: np.ndarray, dlogits_t: np.
     p = model.params
     grads: dict[str, np.ndarray] = {}
     phg = cache["phg"]
-    gated = phg and not model.freeze_gates_at_one
 
     dpooled, grads["vhead.w"], grads["vhead.b"] = nn.linear_backward(
         cache["pooled"], p["vhead.w"], dlogits_v
@@ -293,7 +283,7 @@ def backward(model: PHGModel, cache: dict, dlogits_v: np.ndarray, dlogits_t: np.
     dt_terms = [np.zeros(model.m_dim), np.zeros(model.m_dim)]
     for i, n in ((1, 2), (0, 1)):
         dag = nn.maxpool2x2_backward(cache[f"a{n}g"].shape, cache[f"arg{n}"], dh)
-        if gated:
+        if phg:
             dg = (dag * cache[f"a{n}"]).sum(axis=(0, 1))
             dt_terms[i], gate_grads = gate_backward(cache[f"gate_cache{i}"], p, dg, f"gate{i}")
             grads.update(gate_grads)
@@ -358,12 +348,12 @@ def _sample_loss_and_grads(model: PHGModel, image, features, label, config: Trai
     return loss, backward(model, cache, dv, dt)
 
 
-def train(dataset, config: TrainConfig, eval_dataset=None):
+def train(dataset, config: TrainConfig):
     """Train a model on (image uint8, point-features, label) triples.
 
-    Deterministic given config.seed. Returns (model, history) where history
-    holds per-epoch mean training loss (and eval accuracy when eval_dataset
-    is given).
+    Each epoch shuffles the samples and flips each image left-right with
+    probability 1/2. Deterministic given config.seed. Returns (model, history)
+    where history holds the per-epoch learning rate and mean training loss.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -377,9 +367,9 @@ def train(dataset, config: TrainConfig, eval_dataset=None):
     history: list[dict] = []
     n = len(dataset)
     for epoch in range(config.epochs):
-        lr = nn.poly_lr(config.lr, epoch, config.epochs, config.lr_power)
+        lr = nn.poly_lr(config.lr, epoch, config.epochs)
         order = rng.permutation(n)
-        flips = rng.random(n) < 0.5 if config.augment else np.zeros(n, bool)
+        flips = rng.random(n) < 0.5
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -401,10 +391,7 @@ def train(dataset, config: TrainConfig, eval_dataset=None):
                 batch_grads[name] *= scale
             nn.adam_step(model.params, batch_grads, state, lr=lr)
             epoch_loss += batch_loss
-        record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n}
-        if eval_dataset is not None:
-            record["eval_acc"] = evaluate(model, eval_dataset, config.mode)["accuracy"]
-        history.append(record)
+        history.append({"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n})
     return model, history
 
 
@@ -479,16 +466,8 @@ def save_checkpoint(directory, model: PHGModel, config: TrainConfig, stats: Norm
     os.makedirs(directory, exist_ok=True)
     names = sorted(model.params)
     manifest = {
-        "format": 1,
+        "format": 2,
         "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
-        "model": {
-            "n_classes": model.n_classes,
-            "m_dim": model.m_dim,
-            "channels": list(model.channels),
-            "ratio": config.ratio,
-            "share_encoder": model.share_encoder,
-            "use_phg": model.use_phg,
-        },
         "config": {**asdict(config), "channels": list(config.channels)},
         "stats": {"mean": stats.mean.tolist(), "std": stats.std.tolist()},
     }
@@ -503,7 +482,7 @@ def load_checkpoint(directory):
     """Returns (model, config, stats) written by save_checkpoint.
 
     Raises ValueError naming the file when the manifest is not a JSON object
-    of format 1 with "params", "config" (TrainConfig's fields) and "stats"
+    of format 2 with "params", "config" (TrainConfig's fields) and "stats"
     (two numbers each for "mean" and "std"), when "params" does not list each
     parameter the config builds once as {"name": str, "shape": [int, ...]}
     with its shape, or when the blob does not hold exactly the values the
@@ -518,7 +497,7 @@ def load_checkpoint(directory):
             raise ValueError(f"{manifest_path}: not JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: not a JSON object")
-    if manifest.get("format") != 1:
+    if manifest.get("format") != 2:
         raise ValueError(f"{manifest_path}: unsupported format {manifest.get('format')!r}")
     missing = {"params", "config", "stats"} - manifest.keys()
     if missing:

@@ -3,8 +3,6 @@ point-feature matrix, with training-split normalization statistics."""
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cubical import grid_persistence
 from .diagram import (
     DEFAULT_N_PER_GROUP,
@@ -16,7 +14,7 @@ from .diagram import (
     to_point_features,
 )
 
-__all__ = ["preprocess_diagram", "features_for_grid", "build_feature_dataset"]
+__all__ = ["preprocess_diagram", "build_feature_dataset"]
 
 DEFAULT_MIN_PERS = 10.0
 DEFAULT_INTENSITY_MAX = 255.0
@@ -31,40 +29,26 @@ def preprocess_diagram(
     return filter_persistence(finitize(diag, intensity_max), min_pers)
 
 
-def features_for_grid(
-    grid: np.ndarray,
-    stats: NormalizationStats | None = None,
-    intensity_max: float = DEFAULT_INTENSITY_MAX,
-    min_pers: float = DEFAULT_MIN_PERS,
-    n_per_group: int = DEFAULT_N_PER_GROUP,
-) -> np.ndarray:
-    """Full chain for one image; returns the (2*n_per_group, 5) matrix."""
-    diag = preprocess_diagram(grid_persistence(grid), intensity_max, min_pers)
-    return to_point_features(scale_normalize(diag, intensity_max, stats), n_per_group)
-
-
 def build_feature_dataset(
     samples,
     stats: NormalizationStats | None = None,
-    intensity_max: float = DEFAULT_INTENSITY_MAX,
-    min_pers: float = DEFAULT_MIN_PERS,
     n_per_group: int = DEFAULT_N_PER_GROUP,
 ):
     """Turn SyntheticSamples into (image, features, label) triples.
 
-    When stats is None, normalization statistics are fit on these samples
-    (training split) and returned alongside the dataset.
+    Each image's diagram is finitized at DEFAULT_INTENSITY_MAX, filtered at
+    DEFAULT_MIN_PERS, scaled and normalized, and cut or padded to a
+    (2 * n_per_group, 5) point-feature matrix. When stats is None,
+    normalization statistics are fit on these samples (training split) and
+    returned alongside the dataset.
     """
-    diagrams = [
-        preprocess_diagram(grid_persistence(s.image), intensity_max, min_pers)
-        for s in samples
-    ]
+    diagrams = [preprocess_diagram(grid_persistence(s.image)) for s in samples]
     if stats is None:
-        stats = NormalizationStats.from_diagrams(diagrams, intensity_max)
+        stats = NormalizationStats.from_diagrams(diagrams, DEFAULT_INTENSITY_MAX)
     dataset = [
         (
             s.image,
-            to_point_features(scale_normalize(d, intensity_max, stats), n_per_group),
+            to_point_features(scale_normalize(d, DEFAULT_INTENSITY_MAX, stats), n_per_group),
             s.label,
         )
         for s, d in zip(samples, diagrams)

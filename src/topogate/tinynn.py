@@ -243,10 +243,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float | None = No
         params[name] -= lr * mhat / (np.sqrt(vhat) + state.eps)
 
 
-def poly_lr(base_lr: float, epoch: int, max_epochs: int, power: float = 0.9) -> float:
-    """Polynomial decay: base_lr * (1 - epoch/max_epochs)^power."""
+def poly_lr(base_lr: float, epoch: int, max_epochs: int) -> float:
+    """Polynomial decay: base_lr * (1 - epoch/max_epochs)^0.9."""
     frac = 1.0 - epoch / max_epochs
-    return base_lr * frac**power if frac > 0 else 0.0
+    return base_lr * frac**0.9 if frac > 0 else 0.0
 
 
 # ------------------------------------------------------------- gradient checks

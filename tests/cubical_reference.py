@@ -6,12 +6,35 @@ the way the reduction worked before its columns were built with numpy. The
 arithmetic is the same, so the two must agree bit for bit.
 ``pair_h0_union_find`` pairs H0 by a different algorithm, union-find with the
 elder rule, and must give the same H0 pairs.
+``validate_filtration`` checks the order ``build_filtration`` produces, which
+the reduction takes on trust.
 """
 
 import numpy as np
 
-from topogate.cubical import CubicalFiltration, _symdiff
+from topogate.cubical import CubicalFiltration, _edge_faces, _square_faces, _symdiff
 from topogate.diagram import Diagram
+
+
+class FiltrationError(RuntimeError):
+    """Internal-invariant violation: unsorted or face-violating filtration."""
+
+
+def validate_filtration(filt: CubicalFiltration) -> None:
+    """Raise FiltrationError unless the order is sorted by value and every
+    cell comes after its faces."""
+    sorted_vals = filt.values[filt.order]
+    if np.any(np.diff(sorted_vals) < 0):
+        raise FiltrationError("filtration not sorted by value")
+    pos = filt.pos
+    nv = filt.n_vertices
+    ne = filt.n_hedges + filt.n_vedges
+    eids = np.arange(nv, nv + ne)
+    if np.any(pos[_edge_faces(filt, eids)] > pos[eids, None]):
+        raise FiltrationError("edge precedes one of its vertices")
+    sids = np.arange(nv + ne, filt.n_cells)
+    if np.any(pos[_square_faces(filt, sids)] > pos[sids, None]):
+        raise FiltrationError("square precedes one of its edges")
 
 
 def edge_endpoints(filt: CubicalFiltration, cid: int) -> tuple[int, int]:
@@ -175,3 +198,54 @@ def pair_h0_union_find(filt: CubicalFiltration) -> Diagram:
         np.zeros(n_fin + n_ess, np.int8),
         np.array([False] * n_fin + [True] * n_ess),
     ).canonical()
+
+
+def superlevel_h0_8adjacent(grid: np.ndarray) -> list[tuple[float, float]]:
+    """Finite H0 pairs (birth, death) of the superlevel filtration of a grid
+    under 8-adjacency, with one exterior node, older than every pixel, joined
+    to each border pixel.
+
+    Union-find with the elder rule over the edges in descending value order:
+    an edge's value is the lower of its two ends, a component is born at its
+    highest pixel, and the younger of two merging components dies at the
+    edge's value. Zero-persistence pairs are dropped. By the duality of
+    Garin et al. (arXiv:2005.04597), these pairs with birth and death swapped
+    are the H1 pairs of the sublevel V-construction.
+    """
+    g = np.asarray(grid, dtype=np.float64)
+    h, w = g.shape
+    values = g.ravel().tolist() + [np.inf]  # the last node is the exterior
+    exterior = h * w
+    edges = []
+    for r in range(h):
+        for c in range(w):
+            a = r * w + c
+            for rr, cc in ((r, c + 1), (r + 1, c - 1), (r + 1, c), (r + 1, c + 1)):
+                if 0 <= rr < h and 0 <= cc < w:
+                    b = rr * w + cc
+                    edges.append((min(values[a], values[b]), a, b))
+            if r in (0, h - 1) or c in (0, w - 1):
+                edges.append((values[a], a, exterior))
+    edges.sort(key=lambda e: -e[0])
+
+    # each root is its component's birth pixel: the younger root joins the elder
+    parent = list(range(exterior + 1))
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    pairs = []
+    for value, a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        elder, younger = (ra, rb) if values[ra] >= values[rb] else (rb, ra)
+        parent[younger] = elder
+        if values[younger] > value:
+            pairs.append((values[younger], value))
+    return pairs

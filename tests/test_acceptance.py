@@ -13,7 +13,7 @@ from topogate import tinynn as nn
 from topogate.cli import main as cli_main
 from topogate.cubical import build_filtration, compute_persistence
 from topogate.diagram import Diagram, to_point_features
-from topogate.grid import betti_oracle, generate_shapes, save_pgm, sublevel_mask
+from topogate.grid import SyntheticSample, betti_oracle, generate_shapes, save_pgm, sublevel_mask
 from topogate.model import (
     TrainConfig,
     backward,
@@ -24,7 +24,7 @@ from topogate.model import (
     total_loss,
     train,
 )
-from topogate.pipeline import build_feature_dataset, features_for_grid
+from topogate.pipeline import build_feature_dataset
 from topogate.vectorize import (
     ImageGridSpec,
     betti_curve,
@@ -58,7 +58,7 @@ def test_criterion_1_exhaustive_oracle_equivalence():
     for values in itertools.product(range(3), repeat=9):
         g = np.array(values).reshape(3, 3)
         filt = build_filtration(g)
-        diag = compute_persistence(filt, validate=False)
+        diag = compute_persistence(filt)
         for tau in (0, 1, 2):
             assert alive_counts(diag, tau) == betti_oracle(sublevel_mask(g, tau)), g
         # criterion 3 on the same inputs
@@ -79,7 +79,7 @@ def test_criterion_2_randomized_oracle_equivalence():
     for _ in range(1000):
         g = rng.integers(0, 256, size=(16, 16))
         filt = build_filtration(g)
-        diag = compute_persistence(filt, validate=False)
+        diag = compute_persistence(filt)
         for tau in np.unique(g):
             assert alive_counts(diag, tau) == betti_oracle(sublevel_mask(g, tau))
         uf = pair_h0_union_find(filt).as_multiset()
@@ -213,7 +213,8 @@ def test_criterion_8_preprocessing_contract():
     rng = np.random.default_rng(11)
     for _ in range(5):
         g = rng.integers(0, 256, size=(24, 24))
-        assert features_for_grid(g).shape == (300, 5)
+        (_, feats, _), = build_feature_dataset([SyntheticSample(g, 0)])[0]
+        assert feats.shape == (300, 5)
     for _ in range(1000):
         d = random_diagram(rng)
         m = to_point_features(d, 150)
@@ -230,9 +231,9 @@ def test_criterion_9_throughput_budget():
     rng = np.random.default_rng(3)
     image = rng.integers(0, 256, size=(224, 224)).astype(np.uint8)
     # warm-up on a small input so first-call allocation noise is excluded
-    compute_persistence(build_filtration(image[:16, :16]), validate=False)
+    compute_persistence(build_filtration(image[:16, :16]))
     t0 = time.perf_counter()
-    diag = compute_persistence(build_filtration(image), validate=False)
+    diag = compute_persistence(build_filtration(image))
     elapsed = time.perf_counter() - t0
     assert len(diag) > 0
     assert elapsed < 1.0

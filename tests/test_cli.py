@@ -79,6 +79,44 @@ class TestVectorizeCmd:
                  "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--sigma", "0"), ("--sigma", "-2"), ("--power", "-1"), ("--levels", "0"),
+        ("--samples", "0"), ("--resolution", "0"), ("--t-max", "-1"),
+    ], ids=["sigma-zero", "sigma-negative", "power-negative", "levels-zero", "samples-zero",
+            "resolution-zero", "t-max-below-t-min"])
+    def test_bad_flag_value_usage_error(self, tmp_path, diagram_path, capsys, flag, value):
+        method = {"--sigma": "pimage", "--power": "silhouette", "--levels": "landscape",
+                  "--resolution": "pimage"}.get(flag, "betti")
+        out = tmp_path / "x.csv"
+        assert run(["vectorize", "--diagram", str(diagram_path), "--method", method,
+                    flag, value, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err and not out.exists()
+
+    def test_essential_point_rejected(self, tmp_path, capsys):
+        p = tmp_path / "raw.json"
+        write_diagram(p, Diagram.from_points([(0, math.inf, 0), (10, 200, 1)]))
+        assert run(["vectorize", "--diagram", str(p), "--method", "betti",
+                    "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert str(p) in err and "essential" in err
+
+    @pytest.mark.parametrize("payload", [
+        {"points": [{"death": 3, "dim": 0}]},
+        {"points": [{"birth": 1, "dim": 0}]},
+        {"points": [{"birth": 1, "death": 3}]},
+        {"points": 5},
+        {"points": [[1, 3, 0]]},
+        {"points": [{"birth": "1", "death": 3, "dim": 0}]},
+        {"dots": []},
+    ], ids=["no-birth", "no-death", "no-dim", "points-not-list", "point-not-object",
+            "text-birth", "no-points"])
+    def test_malformed_diagram_names_file(self, tmp_path, capsys, payload):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(payload))
+        assert run(["vectorize", "--diagram", str(p), "--method", "betti",
+                    "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"error: {p}: " in capsys.readouterr().err
+
 
 class TestGen:
     def test_same_seed_same_hash(self, tmp_path):
@@ -194,6 +232,25 @@ class TestTrainEval:
         assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
         assert f"error: {image}: truncated P5 payload" in capsys.readouterr().err
 
+    def test_sides_not_divisible_by_4_named(self, tmp_path, capsys):
+        data, run_dir = tmp_path / "d34", tmp_path / "run"
+        assert run(["gen", "--seed", "1", "--n", "3", "--size", "34", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert run(["train", "--data", str(data), "--out", str(run_dir), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {data / 'sample_00000.pgm'}: 34x34" in err and "divisible by 4" in err
+        # the diagram branch alone pools no image, so pd_only trains; eval of a
+        # vision checkpoint on the same images is refused the same way
+        assert run(["train", "--data", str(data), "--out", str(run_dir), "--mode", "pd_only",
+                    "--epochs", "1", "--batch-size", "3", "--n-per-group", "8"]) == 0
+        full = tmp_path / "full"
+        assert run(["gen", "--seed", "1", "--n", "3", "--size", "32", "--out", str(tmp_path / "d32")]) == 0
+        assert run(["train", "--data", str(tmp_path / "d32"), "--out", str(full), "--epochs", "1",
+                    "--batch-size", "3", "--n-per-group", "8"]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", str(data), "--checkpoint", str(full)]) == 1
+        assert f"error: {data / 'sample_00000.pgm'}: 34x34" in capsys.readouterr().err
+
     def test_eval_missing_checkpoint(self, dataset_dir, tmp_path):
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint",
                     str(tmp_path / "nothing")]) == 1
@@ -224,6 +281,24 @@ class TestPlot:
         out = tmp_path / "loss.svg"
         assert run(["plot", "--history", str(h), "--out", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--curve", "t,betti\n0.0,1\n1.0,x\n"),
+        ("--curve", "t,betti\n"),
+        ("--curve", "t,betti\n0.0,1,2\n"),
+        ("--curve", "t\n0.0\n"),
+        ("--curve", "p_col0,p_col1\n1,nan\n"),
+        ("--history", "not json"),
+        ("--history", json.dumps([{"epoch": 0, "lr": 0.1}])),
+        ("--history", json.dumps([])),
+    ], ids=["curve-text-cell", "curve-header-only", "curve-ragged", "curve-t-only",
+            "curve-nan", "history-not-json", "history-no-train-loss", "history-empty"])
+    def test_malformed_plot_input_names_file(self, tmp_path, capsys, flag, text):
+        src = tmp_path / "input"
+        src.write_text(text)
+        out = tmp_path / "x.svg"
+        assert run(["plot", flag, str(src), "--out", str(out)]) == 1
+        assert f"error: {src}: " in capsys.readouterr().err and not out.exists()
 
     def test_no_source_is_usage_error(self, tmp_path):
         assert run(["plot", "--out", str(tmp_path / "x.svg")]) == 2

@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import alive_counts
-from cubical_reference import edge_endpoints, pair_h0_union_find, reference_persistence
+from cubical_reference import (
+    FiltrationError,
+    edge_endpoints,
+    pair_h0_union_find,
+    reference_persistence,
+    superlevel_h0_8adjacent,
+    validate_filtration,
+)
 from topogate.cubical import (
     CubicalFiltration,
-    FiltrationError,
     build_filtration,
     compute_persistence,
     grid_persistence,
@@ -21,6 +27,11 @@ small_grids = arrays(
     np.int64,
     st.tuples(st.integers(1, 6), st.integers(1, 6)),
     elements=st.integers(0, 5),
+)
+float_grids = arrays(
+    np.float64,
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    elements=st.floats(-100, 100, allow_nan=False),
 )
 
 
@@ -81,9 +92,9 @@ class TestComputePersistence:
         bad_pos[[0, f.n_vertices]] = bad_pos[[f.n_vertices, 0]]
         bad_order = np.empty_like(f.order)
         bad_order[bad_pos] = np.arange(f.n_cells)
-        bad = CubicalFiltration(f.height, f.width, f.values, f.dims, bad_order, bad_pos)
+        bad = CubicalFiltration(f.height, f.width, f.values, bad_order, bad_pos)
         with pytest.raises(FiltrationError):
-            compute_persistence(bad)
+            validate_filtration(bad)
 
     @pytest.mark.parametrize("cell", ["edge", "square"])
     def test_face_order_violation_detected(self, cell):
@@ -94,9 +105,9 @@ class TestComputePersistence:
         bad_pos[[face, cid]] = bad_pos[[cid, face]]
         bad_order = np.empty_like(f.order)
         bad_order[bad_pos] = np.arange(f.n_cells)
-        bad = CubicalFiltration(f.height, f.width, f.values, f.dims, bad_order, bad_pos)
+        bad = CubicalFiltration(f.height, f.width, f.values, bad_order, bad_pos)
         with pytest.raises(FiltrationError, match=f"{cell} precedes"):
-            compute_persistence(bad)
+            validate_filtration(bad)
 
     def test_determinism(self, rng):
         g = rng.integers(0, 256, size=(12, 12))
@@ -108,7 +119,9 @@ class TestComputePersistence:
     @given(small_grids)
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence(self, g):
-        d = grid_persistence(g, validate=True)
+        f = build_filtration(g)
+        validate_filtration(f)
+        d = compute_persistence(f)
         for tau in np.unique(g):
             assert alive_counts(d, tau) == betti_oracle(sublevel_mask(g, tau))
 
@@ -147,9 +160,35 @@ class TestUnionFindH0:
     @settings(max_examples=150, deadline=None)
     def test_matches_reduction(self, g):
         f = build_filtration(g)
+        validate_filtration(f)
         uf = pair_h0_union_find(f).as_multiset()
         red = [p for p in compute_persistence(f).as_multiset() if p[2] == 0]
         assert uf == red
+
+
+class TestMetamorphic:
+    @staticmethod
+    def h1_pairs(g):
+        return sorted((b, d) for b, d, k, _ in grid_persistence(g).as_multiset() if k == 1)
+
+    @given(st.one_of(small_grids, float_grids))
+    @settings(max_examples=150, deadline=None)
+    def test_symmetries_of_the_square(self, g):
+        base = grid_persistence(g).as_multiset()
+        for k in range(4):
+            for image in (np.rot90(g, k), np.rot90(g, k).T):
+                assert grid_persistence(image).as_multiset() == base
+
+    @given(st.one_of(small_grids, float_grids))
+    @settings(max_examples=200, deadline=None)
+    def test_h1_is_dual_superlevel_h0(self, g):
+        dual = sorted((d, b) for b, d in superlevel_h0_8adjacent(g))
+        assert self.h1_pairs(g) == dual
+
+    def test_h1_is_dual_superlevel_h0_on_shapes(self):
+        for sample in generate_shapes(seed=7, n=3, size=64):
+            dual = sorted((d, b) for b, d in superlevel_h0_8adjacent(sample.image))
+            assert dual and self.h1_pairs(sample.image) == dual
 
 
 def assert_bitwise_equal(a, b):
@@ -165,6 +204,7 @@ class TestReferenceParity:
     @staticmethod
     def check(g):
         f = build_filtration(g)
+        validate_filtration(f)
         assert_bitwise_equal(compute_persistence(f), reference_persistence(f))
 
     def test_exhaustive_3x3(self):

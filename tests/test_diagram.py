@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from topogate.diagram import (
     to_point_features,
     write_diagram,
 )
-from topogate.pipeline import features_for_grid
+from topogate.grid import SyntheticSample
+from topogate.pipeline import build_feature_dataset
 
 
 def diag_of(*points):
@@ -133,7 +135,8 @@ class TestPointFeatures:
     def test_pipeline_shape_invariant(self, rng):
         for _ in range(3):
             g = rng.integers(0, 256, size=(12, 14))
-            assert features_for_grid(g, n_per_group=150).shape == (300, 5)
+            (_, feats, _), = build_feature_dataset([SyntheticSample(g, 0)], n_per_group=150)[0]
+            assert feats.shape == (300, 5)
 
 
 def json_dump_reference(path, diag):
@@ -195,4 +198,24 @@ class TestSerialization:
         path = tmp_path / "m.json"
         path.write_text("{not json")
         with pytest.raises(DiagramFormatError):
+            read_diagram(path)
+
+    @pytest.mark.parametrize("payload,says", [
+        ({"points": [{"death": 3, "dim": 0}]}, "point 0 lacks birth"),
+        ({"points": [{"birth": 1, "dim": 0}]}, "point 0 lacks death"),
+        ({"points": [{"birth": 1, "death": 3}]}, "point 0 lacks dim"),
+        ({"points": 5}, "'points' must be a list"),
+        ({"points": [{"birth": 1, "death": 3, "dim": 0}, "x"]}, "point 1 is not an object"),
+        ({"points": [{"birth": "1", "death": 3, "dim": 0}]}, "non-numeric"),
+        ({"points": [{"birth": 1, "death": [3], "dim": 0}]}, "non-numeric"),
+        ({"points": [{"birth": True, "death": 3, "dim": 0}]}, "non-numeric"),
+        ({"points": [{"birth": 1, "death": 3, "dim": True}]}, "dimension"),
+        ({"points": [{"birth": 1, "death": 10**400, "dim": 0}]}, "non-finite"),
+        ({"dots": []}, "missing 'points'"),
+    ], ids=["no-birth", "no-death", "no-dim", "points-not-list", "point-not-object",
+            "text-birth", "list-death", "bool-birth", "bool-dim", "huge-int-death", "no-points"])
+    def test_malformed_point_named(self, tmp_path, payload, says):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DiagramFormatError, match=f"^{re.escape(str(path))}: .*{says}"):
             read_diagram(path)

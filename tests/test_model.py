@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tinynn_reference as ref
+from topogate import model as modelmod
 from topogate import tinynn as nn
 from topogate.diagram import NormalizationStats
 from topogate.grid import generate_shapes
@@ -204,21 +205,29 @@ def tiny_dataset(seed, n=18, size=32):
 
 
 class TestTraining:
-    def test_baseline_equivalence(self):
-        """alpha=0 with gates frozen at 1 reproduces the bare vision stub."""
+    def test_baseline_equivalence(self, monkeypatch):
+        """alpha=0 with gates held at 1 reproduces the bare vision stub."""
         ds, _ = tiny_dataset(seed=11)
         common = dict(epochs=2, lr=1e-3, batch_size=4, seed=3, n_per_group=8)
-        fused = small_config(alpha=0.0, freeze_gates_at_one=True, **common)
+        fused = small_config(alpha=0.0, **common)
         plain = small_config(mode="vision_only", **common)
-        m1, _ = train(ds, fused)
         m2, _ = train(ds, plain)
+        gate_forward = modelmod.gate_forward
+
+        def ones_gate(t, params, prefix):
+            g, (mlp_cache, _) = gate_forward(t, params, prefix)
+            ones = np.ones_like(g)
+            return ones, (mlp_cache, ones)
+
+        monkeypatch.setattr(modelmod, "gate_forward", ones_gate)
+        m1, _ = train(ds, fused)
         for name in m2.params:
             if name.startswith(("conv", "vhead")):
                 assert np.array_equal(m1.params[name], m2.params[name]), name
 
     @pytest.mark.parametrize("kw", [
-        {}, {"mode": "pd_only"}, {"freeze_gates_at_one": True}, {"mode": "vision_only"},
-    ], ids=["full", "pd_only", "frozen-gates", "vision_only"])
+        {}, {"mode": "pd_only"}, {"mode": "vision_only"},
+    ], ids=["full", "pd_only", "vision_only"])
     def test_training_matches_reference_kernels(self, monkeypatch, kw):
         """Byte-equal params and history with the kernels of tests/tinynn_reference.py."""
         ds, _ = tiny_dataset(seed=14, n=9)
@@ -352,9 +361,9 @@ class TestCheckpoint:
         (lambda ck: (ck / "params.bin").write_bytes((ck / "params.bin").read_bytes() + b"\0" * 8),
          "params.bin"),
         (lambda ck: (ck / "manifest.json").write_text(
-            (ck / "manifest.json").read_text().replace('"format": 1', '"format": 2')),
-         "manifest.json: unsupported format 2"),
-    ], ids=["truncated", "overlong", "format2"])
+            (ck / "manifest.json").read_text().replace('"format": 2', '"format": 1')),
+         "manifest.json: unsupported format 1"),
+    ], ids=["truncated", "overlong", "format1"])
     def test_malformed_checkpoint_rejected(self, tmp_path, corrupt, says):
         cfg = small_config()
         save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
@@ -414,12 +423,3 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="manifest.json: config does not build a model"):
             load_checkpoint(tmp_path / "ck")
-
-    def test_roundtrip_keeps_frozen_gates(self, tmp_path, rng):
-        cfg = small_config(freeze_gates_at_one=True)
-        model = init_model(cfg)
-        save_checkpoint(tmp_path / "ck", model, cfg, NormalizationStats.identity())
-        loaded, cfg2, _ = load_checkpoint(tmp_path / "ck")
-        assert cfg2.freeze_gates_at_one and loaded.freeze_gates_at_one
-        img, feats = rng.random((8, 8)), random_features(rng)
-        assert np.array_equal(forward(model, img, feats)[0], forward(loaded, img, feats)[0])
