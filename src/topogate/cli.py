@@ -67,25 +67,14 @@ def cmd_compute(args) -> int:
 
 
 def cmd_vectorize(args) -> int:
-    for flag, value, rule, ok in (
-        ("--sigma", args.sigma, "> 0", args.sigma > 0),
-        ("--power", args.power, ">= 0", args.power >= 0),
-        ("--levels", args.levels, ">= 1", args.levels >= 1),
-        ("--samples", args.samples, ">= 1", args.samples >= 1),
-        ("--resolution", args.resolution, ">= 1", args.resolution >= 1),
-        ("--t-max", args.t_max, f"> --t-min {args.t_min:g}", args.t_max > args.t_min),
-    ):
-        if not ok:
-            print(f"error: vectorize {flag} {value:g}: must be {rule}", file=sys.stderr)
-            return 2
     diag = dg.read_diagram(args.diagram)
     if diag.essential.any():
         print(f"error: {args.diagram}: essential point; vectorize needs a finitized diagram",
               file=sys.stderr)
         return 1
     if args.method == "pimage":
-        lo = min([args.t_min] + [float(b) for b in diag.births])
-        hi = max([args.t_max] + [float(d) for d in diag.deaths if np.isfinite(d)])
+        lo = min([args.t_min] + diag.births.tolist())
+        hi = max([args.t_max] + diag.deaths.tolist())
         spec = vectorize.ImageGridSpec(
             args.resolution, args.resolution, (lo, hi), (0.0, hi - lo), args.sigma
         )
@@ -127,7 +116,7 @@ def _dataset_hash(directory: str, names: list[str]) -> str:
 def cmd_gen(args) -> int:
     try:
         samples = gridmod.generate_shapes(args.seed, args.n, args.size, noise=args.noise)
-    except ValueError as e:  # only the flag values can be out of range here
+    except ValueError as e:  # --size is the one flag main does not check
         print(f"error: gen --size {args.size}: {e}", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
@@ -454,12 +443,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The rule each numeric flag's value must meet, by argparse dest, as (rule,
+# test of the parsed args). main checks the flags the command has before it
+# runs, so a bad value exits 2 naming the flag and no file is written.
+_FLAG_RULES = {
+    "n": (">= 1", lambda a: a.n >= 1),
+    "noise": (">= 0", lambda a: a.noise >= 0),
+    "epochs": (">= 1", lambda a: a.epochs >= 1),
+    "lr": ("> 0", lambda a: a.lr > 0),
+    "alpha": (">= 0", lambda a: a.alpha >= 0),
+    "batch_size": (">= 1", lambda a: a.batch_size >= 1),
+    "n_per_group": (">= 1", lambda a: a.n_per_group >= 1),
+    "ratio": (">= 1", lambda a: a.ratio >= 1),
+    "sigma": ("> 0", lambda a: a.sigma > 0),
+    "power": (">= 0", lambda a: a.power >= 0),
+    "levels": (">= 1", lambda a: a.levels >= 1),
+    "samples": (">= 1", lambda a: a.samples >= 1),
+    "resolution": (">= 1", lambda a: a.resolution >= 1),
+    "t_max": ("> --t-min", lambda a: a.t_max > a.t_min),
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _print_config(args)
+    for dest, (rule, ok) in _FLAG_RULES.items():
+        if dest in args and not ok(args):
+            flag = "--" + dest.replace("_", "-")
+            print(f"error: {args.command} {flag} {getattr(args, dest):g}: must be {rule}",
+                  file=sys.stderr)
+            return 2
     try:
         return args.func(args)
-    except (gridmod.FormatError, dg.DiagramFormatError, FileNotFoundError) as e:
+    except (gridmod.FormatError, dg.DiagramFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -164,7 +164,7 @@ def compute_persistence(filt: CubicalFiltration) -> Diagram:
 
     Column reduction of the Z/2 boundary matrix, squares first so that edge
     columns paired as H1 creators are cleared and skipped in the edge pass.
-    Zero-persistence pairs are discarded; essential classes are flagged.
+    Zero-persistence pairs are discarded; essential classes get a NaN death.
     """
     pos = filt.pos
     order = filt.order
@@ -198,7 +198,6 @@ def compute_persistence(filt: CubicalFiltration) -> Diagram:
         np.concatenate([b1[keep1], b0[keep0], values[:nv][born]]),
         np.concatenate([d1[keep1], d0[keep0], np.full(nb, np.nan)]),
         np.concatenate([np.ones(n1, np.int8), np.zeros(n0 + nb, np.int8)]),
-        np.concatenate([np.zeros(n0 + n1, bool), np.ones(nb, bool)]),
     ).canonical()
 
 

@@ -35,61 +35,57 @@ class DiagramFormatError(ValueError):
 class Diagram:
     """Multiset of (birth, death, homology dimension) points.
 
-    Essential points (features that never die) carry ``essential=True`` and a
-    NaN death; deaths are made finite only via :func:`finitize`.
+    A point is essential (a feature that never dies) exactly when its death
+    is NaN; deaths are made finite only via :func:`finitize`.
     """
 
     births: np.ndarray  # float64
     deaths: np.ndarray  # float64, NaN where essential
     dims: np.ndarray  # int8, 0 or 1
-    essential: np.ndarray  # bool
 
     def __post_init__(self):
         object.__setattr__(self, "births", np.asarray(self.births, dtype=np.float64))
         object.__setattr__(self, "deaths", np.asarray(self.deaths, dtype=np.float64))
         object.__setattr__(self, "dims", np.asarray(self.dims, dtype=np.int8))
-        object.__setattr__(self, "essential", np.asarray(self.essential, dtype=bool))
-        n = len(self.births)
-        if not (len(self.deaths) == len(self.dims) == len(self.essential) == n):
+        if not (len(self.deaths) == len(self.dims) == len(self.births)):
             raise ValueError("diagram arrays must have equal length")
         # death > birth is enforced at construction from raw persistence and at
         # deserialization; normalized diagrams may legitimately violate it
 
+    @property
+    def essential(self) -> np.ndarray:
+        return np.isnan(self.deaths)
+
     @classmethod
     def empty(cls) -> "Diagram":
         z = np.zeros(0)
-        return cls(z, z, z, z)
+        return cls(z, z, z)
 
     @classmethod
     def from_points(cls, points) -> "Diagram":
-        """Build from an iterable of (birth, death, dim) or (birth, death, dim,
-        essential) tuples; death may be math.inf to mark an essential point."""
-        births, deaths, dims, ess = [], [], [], []
-        for p in points:
-            b, d, k = p[0], p[1], p[2]
-            e = bool(p[3]) if len(p) > 3 else (d == math.inf)
+        """Build from an iterable of (birth, death, dim) triples; a death of
+        math.inf or NaN marks an essential point."""
+        births, deaths, dims = [], [], []
+        for b, d, k in points:
             births.append(float(b))
-            deaths.append(math.nan if e else float(d))
+            deaths.append(math.nan if d == math.inf else float(d))
             dims.append(int(k))
-            ess.append(e)
-        return cls(np.array(births), np.array(deaths), np.array(dims), np.array(ess))
+        return cls(np.array(births), np.array(deaths), np.array(dims))
 
     def __len__(self) -> int:
         return len(self.births)
 
+    def _take(self, rows) -> "Diagram":
+        return Diagram(self.births[rows], self.deaths[rows], self.dims[rows])
+
     def canonical(self) -> "Diagram":
         """Deterministically sorted copy: by (dim, essential-last, birth, death)."""
-        death_key = np.where(self.essential, np.inf, self.deaths)
-        order = np.lexsort((death_key, self.births, self.essential, self.dims))
-        return Diagram(
-            self.births[order], self.deaths[order], self.dims[order], self.essential[order]
-        )
+        essential = self.essential
+        death_key = np.where(essential, np.inf, self.deaths)
+        return self._take(np.lexsort((death_key, self.births, essential, self.dims)))
 
     def select(self, dim: int) -> "Diagram":
-        keep = self.dims == dim
-        return Diagram(
-            self.births[keep], self.deaths[keep], self.dims[keep], self.essential[keep]
-        )
+        return self._take(self.dims == dim)
 
     def as_multiset(self) -> list[tuple]:
         """Sorted point list suitable for multiset equality checks."""
@@ -118,7 +114,7 @@ class NormalizationStats:
         return cls(np.zeros(2), np.ones(2))
 
     @classmethod
-    def from_diagrams(cls, diagrams, intensity_max: float = 255.0) -> "NormalizationStats":
+    def from_diagrams(cls, diagrams, intensity_max: float) -> "NormalizationStats":
         """Fit stats over the pooled scaled coordinates of finitized diagrams."""
         births = np.concatenate([d.births for d in diagrams]) if diagrams else np.zeros(0)
         deaths = np.concatenate([d.deaths for d in diagrams]) if diagrams else np.zeros(0)
@@ -132,40 +128,34 @@ class NormalizationStats:
 
 def finitize(diag: Diagram, max_value: float) -> Diagram:
     """Replace every essential death by `max_value`; other points unchanged."""
-    finite_deaths = diag.deaths[~diag.essential]
+    essential = diag.essential
+    finite_deaths = diag.deaths[~essential]
     if len(finite_deaths) and max_value < finite_deaths.max():
         raise ValueError(
             f"max_value {max_value} is below finite death {finite_deaths.max()}"
         )
     if len(diag.births) and max_value < diag.births.max():
         raise ValueError(f"max_value {max_value} is below a birth value")
-    deaths = np.where(diag.essential, float(max_value), diag.deaths)
+    deaths = np.where(essential, float(max_value), diag.deaths)
     # finitization may create zero-persistence points; drop them
     keep = deaths > diag.births
-    return Diagram(
-        diag.births[keep], deaths[keep], diag.dims[keep], np.zeros(int(keep.sum()), bool)
-    )
+    return Diagram(diag.births[keep], deaths[keep], diag.dims[keep])
 
 
-def filter_persistence(diag: Diagram, min_pers: float = 10.0) -> Diagram:
+def filter_persistence(diag: Diagram, min_pers: float) -> Diagram:
     """Keep exactly the points with death - birth >= min_pers (raw units)."""
     if np.any(diag.essential):
         raise ValueError("filter_persistence requires a finitized diagram")
-    keep = (diag.deaths - diag.births) >= min_pers
-    return Diagram(diag.births[keep], diag.deaths[keep], diag.dims[keep], diag.essential[keep])
+    return diag._take((diag.deaths - diag.births) >= min_pers)
 
 
-def scale_normalize(
-    diag: Diagram, intensity_max: float = 255.0, stats: NormalizationStats | None = None
-) -> Diagram:
+def scale_normalize(diag: Diagram, intensity_max: float, stats: NormalizationStats) -> Diagram:
     """Scale coordinates to [0, 1] by intensity_max, then z-score with stats."""
     if np.any(diag.essential):
         raise ValueError("scale_normalize requires a finitized diagram")
-    if stats is None:
-        stats = NormalizationStats.identity()
     births = (diag.births / intensity_max - stats.mean[0]) / stats.std[0]
     deaths = (diag.deaths / intensity_max - stats.mean[1]) / stats.std[1]
-    return Diagram(births, deaths, diag.dims, diag.essential)
+    return Diagram(births, deaths, diag.dims)
 
 
 def to_point_features(diag: Diagram, n_per_group: int = DEFAULT_N_PER_GROUP) -> np.ndarray:
@@ -257,7 +247,7 @@ def read_diagram(path) -> Diagram:
         raise DiagramFormatError(f"{path}: diagram JSON missing 'points'")
     if not isinstance(payload["points"], list):
         raise DiagramFormatError(f"{path}: 'points' must be a list")
-    births, deaths, dims, ess = [], [], [], []
+    births, deaths, dims = [], [], []
     for i, p in enumerate(payload["points"]):
         if not isinstance(p, dict):
             raise DiagramFormatError(f"{path}: point {i} is not an object")
@@ -279,5 +269,4 @@ def read_diagram(path) -> Diagram:
         births.append(b)
         deaths.append(math.nan if e else d)
         dims.append(k)
-        ess.append(e)
-    return Diagram(np.array(births), np.array(deaths), np.array(dims), np.array(ess))
+    return Diagram(np.array(births), np.array(deaths), np.array(dims))

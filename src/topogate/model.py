@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import tinynn as nn
-from .diagram import DEFAULT_N_PER_GROUP, FEATURE_WIDTH, NormalizationStats
+from .diagram import DEFAULT_N_PER_GROUP, FEATURE_WIDTH, NormalizationStats, _number
 
 __all__ = [
     "TrainConfig",
@@ -228,7 +228,7 @@ def refine(feature_map: np.ndarray, gate_vec: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------- full model
 
 
-def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray | None):
+def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray):
     """Run the fused model; returns (logits_vision, logits_topo, cache).
 
     image: (h, w) float in [0, 1]. With use_phg off the gates are identity and
@@ -238,7 +238,7 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray | None):
     x = np.asarray(image, dtype=np.float64)[:, :, None]
     cache: dict = {}
 
-    phg = model.use_phg and pd_features is not None
+    phg = model.use_phg
     ts = []
     if phg:
         for i in range(1 if model.share_encoder else 2):
@@ -266,7 +266,7 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray | None):
         logits_t, cache["topo"] = _mlp_forward(p, _THEAD, ts[0])
     else:
         logits_t = np.zeros(model.n_classes)
-    cache.update(phg=phg, pooled=pooled)
+    cache["pooled"] = pooled
     return logits_v, logits_t, cache
 
 
@@ -274,7 +274,7 @@ def backward(model: PHGModel, cache: dict, dlogits_v: np.ndarray, dlogits_t: np.
     """Exact gradients of the joint loss w.r.t. every trainable parameter."""
     p = model.params
     grads: dict[str, np.ndarray] = {}
-    phg = cache["phg"]
+    phg = model.use_phg
 
     dpooled, grads["vhead.w"], grads["vhead.b"] = nn.linear_backward(
         cache["pooled"], p["vhead.w"], dlogits_v
@@ -340,7 +340,7 @@ def _sample_loss_and_grads(model: PHGModel, image, features, label, config: Trai
         loss, dlogits = nn.softmax_cross_entropy(logits, label)
         return loss, pd_only_backward(model, cache, dlogits)
     logits_v, logits_t, cache = forward(model, image, features)
-    if cache["phg"]:
+    if model.use_phg:
         loss, dv, dt = total_loss(logits_v, logits_t, label, config.alpha)
     else:
         loss, dv = nn.softmax_cross_entropy(logits_v, label)
@@ -361,7 +361,7 @@ def train(dataset, config: TrainConfig):
     if max(labels) >= config.n_classes:
         raise ValueError("label outside configured class range")
     model = init_model(config)
-    state = nn.AdamState(lr=config.lr)
+    state = nn.AdamState()
     rng = np.random.default_rng([config.seed, 4])
     images = [np.asarray(s[0], dtype=np.float64) / 255.0 for s in dataset]
     history: list[dict] = []
@@ -389,18 +389,13 @@ def train(dataset, config: TrainConfig):
             scale = 1.0 / len(idx)
             for name in batch_grads:
                 batch_grads[name] *= scale
-            nn.adam_step(model.params, batch_grads, state, lr=lr)
+            nn.adam_step(model.params, batch_grads, state, lr)
             epoch_loss += batch_loss
         history.append({"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n})
     return model, history
 
 
 # ------------------------------------------------------------------ evaluation
-
-
-def _softmax(z):
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 def _auc_ovr(scores: np.ndarray, positives: np.ndarray) -> float:
@@ -433,7 +428,7 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
         else:
             img = np.asarray(image, dtype=np.float64) / 255.0
             logits = forward(model, img, features)[0]
-        probs[i] = _softmax(logits)
+        probs[i] = nn.softmax(logits)
         labels[i] = label
     present = np.unique(labels)
     if len(present) < k:
@@ -507,7 +502,10 @@ def load_checkpoint(directory):
     if not isinstance(cfg, dict) or cfg.keys() != names:
         got = sorted(cfg) if isinstance(cfg, dict) else type(cfg).__name__
         raise ValueError(f"{manifest_path}: config must hold TrainConfig's fields, got {got}")
-    if not isinstance(stats, dict) or not all(_two_numbers(stats.get(k)) for k in ("mean", "std")):
+    if not isinstance(stats, dict) or not all(
+        isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+        for v in (stats.get("mean"), stats.get("std"))
+    ):
         raise ValueError(f"{manifest_path}: stats mean and std must each hold 2 numbers")
     try:
         config = TrainConfig(**{**cfg, "channels": tuple(cfg["channels"])})
@@ -545,12 +543,4 @@ def _param_entry(entry) -> bool:
         and isinstance(entry.get("name"), str)
         and isinstance(entry.get("shape"), list)
         and all(type(d) is int and d >= 0 for d in entry["shape"])
-    )
-
-
-def _two_numbers(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     )

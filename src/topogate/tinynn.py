@@ -1,6 +1,5 @@
 """Minimal deterministic dense-tensor NN kernel: explicit forward/backward
-functions on float64 numpy arrays, Adam, polynomial LR decay, and a central
-finite-difference gradient checker.
+functions on float64 numpy arrays, Adam and polynomial LR decay.
 
 Every backward returns exact analytic gradients; there is no autograd graph.
 Parameters live in plain dicts of named arrays.
@@ -22,6 +21,7 @@ __all__ = [
     "sigmoid_backward",
     "set_max_pool_forward",
     "set_max_pool_backward",
+    "softmax",
     "softmax_cross_entropy",
     "conv3x3_forward",
     "conv3x3_backward",
@@ -34,8 +34,6 @@ __all__ = [
     "AdamState",
     "adam_step",
     "poly_lr",
-    "numerical_gradient",
-    "check_gradient",
 ]
 
 
@@ -106,13 +104,15 @@ def set_max_pool_backward(points_shape, argmax: np.ndarray, dy: np.ndarray) -> n
     return dx
 
 
+def softmax(logits: np.ndarray) -> np.ndarray:
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
+
+
 def softmax_cross_entropy(logits: np.ndarray, label: int):
     """(loss, dlogits) for a single sample; loss = -log softmax(logits)[label]."""
-    shifted = logits - logits.max()
-    exp = np.exp(shifted)
-    probs = exp / exp.sum()
-    loss = -np.log(probs[label])
-    dlogits = probs.copy()
+    dlogits = softmax(logits)
+    loss = -np.log(dlogits[label])
     dlogits[label] -= 1.0
     return loss, dlogits
 
@@ -207,26 +207,25 @@ def global_avg_pool_backward(x_shape, dy: np.ndarray) -> np.ndarray:
 # -------------------------------------------------------------------- training
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam accumulators for a dict of named parameters."""
 
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float | None = None) -> None:
+def adam_step(params: dict, grads: dict, state: AdamState, lr: float) -> None:
     """In-place Adam update of every parameter present in grads."""
-    if lr is None:
-        lr = state.lr
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name in sorted(grads):
         g = grads[name]
         if name not in state.m:
@@ -240,43 +239,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float | None = No
         v += (1 - b2) * g * g
         mhat = m / (1 - b1**t)
         vhat = v / (1 - b2**t)
-        params[name] -= lr * mhat / (np.sqrt(vhat) + state.eps)
+        params[name] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def poly_lr(base_lr: float, epoch: int, max_epochs: int) -> float:
     """Polynomial decay: base_lr * (1 - epoch/max_epochs)^0.9."""
     frac = 1.0 - epoch / max_epochs
     return base_lr * frac**0.9 if frac > 0 else 0.0
-
-
-# ------------------------------------------------------------- gradient checks
-
-
-def numerical_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of scalar-valued f at x, elementwise."""
-    grad = np.zeros_like(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2 * h)
-    return grad
-
-
-def check_gradient(f, x, analytic, h: float = 1e-5, rtol: float = 1e-4) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    Relative error per element: |a - n| / max(1, |a|, |n|). Raises
-    AssertionError above rtol; returns the max error otherwise.
-    """
-    numeric = numerical_gradient(f, np.asarray(x, dtype=np.float64), h=h)
-    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
-    err = float(np.max(np.abs(analytic - numeric) / denom)) if numeric.size else 0.0
-    if err >= rtol:
-        raise AssertionError(f"gradient check failed: max relative error {err:.3e}")
-    return err

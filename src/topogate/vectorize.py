@@ -43,18 +43,15 @@ class ImageGridSpec:
         return bs, ps
 
 
-def default_t_grid(n: int = 64, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-    """Uniform sample grid over the normalized coordinate range."""
+def default_t_grid(n: int, lo: float, hi: float) -> np.ndarray:
+    """Uniform grid of n sample values from lo to hi."""
     return np.linspace(lo, hi, n)
 
 
-def _coords(diag: Diagram, dim: int | None):
+def _coords(diag: Diagram):
     if np.any(diag.essential):
         raise ValueError("vectorizers require a finitized diagram")
-    if dim is None:
-        return diag.births, diag.deaths
-    sub = diag.select(dim)
-    return sub.births, sub.deaths
+    return diag.births, diag.deaths
 
 
 def tent_values(births: np.ndarray, deaths: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
@@ -65,22 +62,22 @@ def tent_values(births: np.ndarray, deaths: np.ndarray, t_grid: np.ndarray) -> n
     return np.maximum(0.0, np.minimum(t - b, d - t))
 
 
-def betti_curve(diag: Diagram, t_grid, dim: int | None = None) -> np.ndarray:
+def betti_curve(diag: Diagram, t_grid) -> np.ndarray:
     """Count of bars alive at each t: |{(b, d): b <= t < d}|."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
-    b, d = _coords(diag, dim)
+    b, d = _coords(diag)
     t = t_grid[None, :]
     return ((b[:, None] <= t) & (t < d[:, None])).sum(axis=0).astype(np.float64)
 
 
-def landscape(diag: Diagram, k: int, t_grid, dim: int | None = None) -> np.ndarray:
+def landscape(diag: Diagram, k: int, t_grid) -> np.ndarray:
     """k-th landscape: k-th largest tent value at each t (0 if fewer points)."""
     if k < 1:
         raise ValueError("landscape level k must be >= 1")
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    b, d = _coords(diag, dim)
+    b, d = _coords(diag)
     if len(b) < k:
         return np.zeros(len(t_grid))
     tents = tent_values(b, d, t_grid)
@@ -89,12 +86,12 @@ def landscape(diag: Diagram, k: int, t_grid, dim: int | None = None) -> np.ndarr
     return part
 
 
-def silhouette(diag: Diagram, p: float, t_grid, dim: int | None = None) -> np.ndarray:
+def silhouette(diag: Diagram, p: float, t_grid) -> np.ndarray:
     """Persistence-weighted average of tents, weights (d - b)^p."""
     if p < 0:
         raise ValueError("silhouette power must be >= 0")
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    b, d = _coords(diag, dim)
+    b, d = _coords(diag)
     if len(b) == 0:
         return np.zeros(len(t_grid))
     weights = (d - b) ** p
@@ -102,7 +99,7 @@ def silhouette(diag: Diagram, p: float, t_grid, dim: int | None = None) -> np.nd
     return weights @ tents / weights.sum()
 
 
-def persistence_image(diag: Diagram, spec: ImageGridSpec, dim: int | None = None) -> np.ndarray:
+def persistence_image(diag: Diagram, spec: ImageGridSpec) -> np.ndarray:
     """Gaussian-smoothed diagram density in (birth, persistence) coordinates.
 
     Each point (b, d) contributes (d - b) * N((b, d - b), sigma^2 I) evaluated
@@ -110,7 +107,7 @@ def persistence_image(diag: Diagram, spec: ImageGridSpec, dim: int | None = None
     """
     if spec.sigma <= 0:
         raise ValueError("sigma must be positive")
-    b, d = _coords(diag, dim)
+    b, d = _coords(diag)
     out = np.zeros((spec.rows, spec.cols))
     if len(b) == 0:
         return out

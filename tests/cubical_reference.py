@@ -75,7 +75,6 @@ def reference_persistence(filt: CubicalFiltration) -> Diagram:
     births: list[float] = []
     deaths: list[float] = []
     dims: list[int] = []
-    ess: list[bool] = []
 
     owner: dict[int, list[int]] = {}
     cleared = np.zeros(n, dtype=bool)
@@ -97,7 +96,6 @@ def reference_persistence(filt: CubicalFiltration) -> Diagram:
             births.append(b)
             deaths.append(d)
             dims.append(1)
-            ess.append(False)
 
     owner0: dict[int, list[int]] = {}
     for p in np.sort(pos[nv : nv + ne]):
@@ -120,12 +118,10 @@ def reference_persistence(filt: CubicalFiltration) -> Diagram:
                 births.append(b)
                 deaths.append(d)
                 dims.append(0)
-                ess.append(False)
         else:
             births.append(values[eid])
             deaths.append(np.nan)
             dims.append(1)
-            ess.append(True)
 
     paired = np.zeros(n, dtype=bool)
     if owner0:
@@ -135,10 +131,9 @@ def reference_persistence(filt: CubicalFiltration) -> Diagram:
             births.append(values[order[p]])
             deaths.append(np.nan)
             dims.append(0)
-            ess.append(True)
 
     return Diagram(
-        np.array(births), np.array(deaths), np.array(dims, np.int8), np.array(ess, bool)
+        np.array(births), np.array(deaths), np.array(dims, np.int8)
     ).canonical()
 
 
@@ -196,7 +191,6 @@ def pair_h0_union_find(filt: CubicalFiltration) -> Diagram:
         np.array(births + ess_births),
         np.array(deaths + [np.nan] * n_ess),
         np.zeros(n_fin + n_ess, np.int8),
-        np.array([False] * n_fin + [True] * n_ess),
     ).canonical()
 
 

@@ -9,11 +9,13 @@ import pytest
 
 from conftest import alive_counts
 from cubical_reference import pair_h0_union_find
+from grid_reference import betti_oracle, sublevel_mask
+from tinynn_reference import check_gradient
 from topogate import tinynn as nn
 from topogate.cli import main as cli_main
 from topogate.cubical import build_filtration, compute_persistence
 from topogate.diagram import Diagram, to_point_features
-from topogate.grid import SyntheticSample, betti_oracle, generate_shapes, save_pgm, sublevel_mask
+from topogate.grid import SyntheticSample, generate_shapes, save_pgm
 from topogate.model import (
     TrainConfig,
     backward,
@@ -44,7 +46,7 @@ def random_diagram(rng, max_points=40):
     births = rng.random(n) * 200
     deaths = births + rng.random(n) * 55 + 1e-3
     dims = rng.integers(0, 2, n)
-    return Diagram(births, deaths, dims, np.zeros(n, bool))
+    return Diagram(births, deaths, dims)
 
 
 def random_feature_matrix(rng, n_per_group=20):
@@ -112,32 +114,32 @@ def test_criterion_5_gradient_verification():
     x, w, b = rng.standard_normal((4, 3)), rng.standard_normal((2, 3)), rng.standard_normal(2)
     dy = rng.standard_normal((4, 2))
     dx, dw, db = nn.linear_backward(x, w, dy)
-    worst = max(worst, nn.check_gradient(lambda v: np.sum(nn.linear_forward(v, w, b) * dy), x, dx))
-    worst = max(worst, nn.check_gradient(lambda v: np.sum(nn.linear_forward(x, v, b) * dy), w, dw))
+    worst = max(worst, check_gradient(lambda v: np.sum(nn.linear_forward(v, w, b) * dy), x, dx))
+    worst = max(worst, check_gradient(lambda v: np.sum(nn.linear_forward(x, v, b) * dy), w, dw))
     xa = rng.standard_normal(6) + 0.05
     dya = rng.standard_normal(6)
-    worst = max(worst, nn.check_gradient(
+    worst = max(worst, check_gradient(
         lambda v: np.sum(nn.relu_forward(v) * dya), xa, nn.relu_backward(xa, dya)))
     ys = nn.sigmoid_forward(xa)
-    worst = max(worst, nn.check_gradient(
+    worst = max(worst, check_gradient(
         lambda v: np.sum(nn.sigmoid_forward(v) * dya), xa, nn.sigmoid_backward(ys, dya)))
     pts = rng.standard_normal((5, 4))
     presence = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     dyp = rng.standard_normal(4)
     _, arg = nn.set_max_pool_forward(pts, presence)
-    worst = max(worst, nn.check_gradient(
+    worst = max(worst, check_gradient(
         lambda v: np.sum(nn.set_max_pool_forward(v, presence)[0] * dyp),
         pts, nn.set_max_pool_backward(pts.shape, arg, dyp)))
     logits = rng.standard_normal(5)
     _, dlog = nn.softmax_cross_entropy(logits, 2)
-    worst = max(worst, nn.check_gradient(lambda v: nn.softmax_cross_entropy(v, 2)[0], logits, dlog))
+    worst = max(worst, check_gradient(lambda v: nn.softmax_cross_entropy(v, 2)[0], logits, dlog))
     xc = rng.standard_normal((4, 4, 2))
     wc, bc = rng.standard_normal((3, 2, 3, 3)), rng.standard_normal(3)
     dyc = rng.standard_normal((4, 4, 3))
     _, patches = nn.conv3x3_forward(xc, wc, bc)
     dxc, dwc, dbc = nn.conv3x3_backward(xc, wc, patches, dyc)
-    worst = max(worst, nn.check_gradient(lambda v: np.sum(nn.conv3x3_forward(v, wc, bc)[0] * dyc), xc, dxc))
-    worst = max(worst, nn.check_gradient(lambda v: np.sum(nn.conv3x3_forward(xc, v, bc)[0] * dyc), wc, dwc))
+    worst = max(worst, check_gradient(lambda v: np.sum(nn.conv3x3_forward(v, wc, bc)[0] * dyc), xc, dxc))
+    worst = max(worst, check_gradient(lambda v: np.sum(nn.conv3x3_forward(xc, v, bc)[0] * dyc), wc, dwc))
 
     # fused model at the stated scale
     model = init_model(TrainConfig(channels=(4, 4), m_dim=8, n_classes=3, seed=6))
@@ -153,7 +155,7 @@ def test_criterion_5_gradient_verification():
     grads = backward(model, cache, dv, dt)
     assert set(grads) == set(model.params)
     for name in sorted(grads):
-        worst = max(worst, nn.check_gradient(lambda _: loss_of()[0], model.params[name], grads[name]))
+        worst = max(worst, check_gradient(lambda _: loss_of()[0], model.params[name], grads[name]))
     report("criterion 5 (gradient verification)", f"all layers + fused model, max rel err {worst:.1e} < 1e-4")
 
 

@@ -140,6 +140,14 @@ class TestGen:
                     "--out", str(tmp_path / "g")]) == 2
         assert "--size 16" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value", [("--n", "-2"), ("--n", "0"), ("--noise", "-5")],
+                             ids=["n-negative", "n-zero", "noise-negative"])
+    def test_bad_flag_value_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "g"  # the last --n given wins
+        assert run(["gen", "--seed", "1", "--n", "3", "--out", str(out), flag, value]) == 2
+        assert f"error: gen {flag} {value}: must be" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainEval:
     def test_train_eval_memorization(self, tmp_path, dataset_dir, capsys):
@@ -153,6 +161,22 @@ class TestTrainEval:
         out = capsys.readouterr().out
         acc_line = [l for l in out.splitlines() if l.startswith("accuracy")][0]
         assert float(acc_line.split()[-1]) == 1.0
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--epochs", "0"), ("--batch-size", "0"), ("--ratio", "0"), ("--n-per-group", "-3"),
+        ("--lr", "0"), ("--lr", "-0.1"), ("--alpha", "-1"),
+    ], ids=["epochs-zero", "batch-size-zero", "ratio-zero", "n-per-group-negative",
+            "lr-zero", "lr-negative", "alpha-negative"])
+    def test_bad_flag_value_usage_error(self, tmp_path, dataset_dir, capsys, flag, value):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), flag, value]) == 2
+        assert f"error: train {flag} {value}: must be" in capsys.readouterr().err
+        assert not run_dir.exists()
+
+    def test_empty_file_cell_names_path(self, tmp_path, dataset_dir, capsys):
+        (dataset_dir / "labels.csv").write_text("file,label\n,0\n")
+        assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
+        assert f"{dataset_dir}" in capsys.readouterr().err
 
     def test_train_determinism_bytes(self, tmp_path, dataset_dir):
         outs = []

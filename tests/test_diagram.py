@@ -36,6 +36,45 @@ finite_diagrams = st.lists(
 ).map(lambda pts: Diagram.from_points([(b, b + gap, k) for b, gap, k in pts]))
 
 
+def nan_death():
+    """One H0 point with a NaN death, built from arrays and not from points."""
+    return Diagram(np.array([3.0]), np.array([np.nan]), np.array([0]))
+
+
+class TestEssential:
+    def test_infinite_death_is_essential(self):
+        d = diag_of((7, math.inf, 0), (1, 4, 1))
+        assert list(d.essential) == [True, False] and np.isnan(d.deaths[0])
+
+    def test_nan_death_is_essential(self):
+        assert list(nan_death().essential) == [True]
+        assert nan_death().as_multiset() == [(3.0, None, 0, True)]
+
+    def test_finitize_fills_nan_death(self):
+        assert finitize(nan_death(), 255).as_multiset() == [(3.0, 255.0, 0, False)]
+
+    def test_filter_rejects_nan_death(self):
+        with pytest.raises(ValueError, match="finitized"):
+            filter_persistence(nan_death(), 0)
+
+    def test_point_features_reject_nan_death(self):
+        with pytest.raises(ValueError, match="finitized"):
+            to_point_features(nan_death(), 4)
+
+    def test_written_as_null_death(self, tmp_path):
+        write_diagram(tmp_path / "d.json", nan_death())
+        (point,) = json.loads((tmp_path / "d.json").read_text())["points"]
+        assert point["death"] is None and point["essential"] is True
+
+    @pytest.mark.parametrize("death,flag", [(None, False), (9, True)], ids=["null", "number"])
+    def test_read_rejects_flag_against_death(self, tmp_path, death, flag):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"points": [{"birth": 1, "death": death, "dim": 0,
+                                                 "essential": flag}]}))
+        with pytest.raises(DiagramFormatError, match="essential flag inconsistent"):
+            read_diagram(path)
+
+
 class TestFinitize:
     def test_substitution(self):
         d = finitize(diag_of((7, math.inf, 0)), 255)
@@ -72,7 +111,7 @@ class TestFilterPersistence:
 
     def test_requires_finitized(self):
         with pytest.raises(ValueError, match="finitized"):
-            filter_persistence(diag_of((0, math.inf, 0)))
+            filter_persistence(diag_of((0, math.inf, 0)), 10)
 
 
 class TestScaleNormalize:
@@ -157,7 +196,6 @@ class TestSerialization:
             np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, 0.1, 7.0]),
             np.array([np.inf, np.nan, -np.inf, 2.5, 1e300, np.nan, np.nan]),
             np.array([0, 1, 0, 1, 0, 1, 0]),
-            np.array([False, False, False, False, False, True, True]),
         )
         diagrams = [Diagram.empty(), diag_of((0, math.inf, 0), (10, 200, 1)), special]
         for _ in range(50):
@@ -165,7 +203,7 @@ class TestSerialization:
             births = rng.random(n) * 255
             essential = rng.random(n) < 0.2
             deaths = np.where(essential, np.nan, births + rng.random(n) * 50)
-            diagrams.append(Diagram(births, deaths, rng.integers(0, 2, n), essential))
+            diagrams.append(Diagram(births, deaths, rng.integers(0, 2, n)))
         for d in diagrams:
             write_diagram(tmp_path / "a.json", d)
             json_dump_reference(tmp_path / "b.json", d)

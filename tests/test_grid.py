@@ -4,15 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from grid_reference import count_components_unionfind
+from grid_reference import betti_oracle, count_components_unionfind, sublevel_mask
 from topogate.grid import (
     FormatError,
-    betti_oracle,
     generate_shapes,
     load_csv_grid,
     load_pgm,
     save_pgm,
-    sublevel_mask,
 )
 
 small_grids = arrays(

@@ -135,7 +135,7 @@ class TestForward:
         grads = backward(model, cache, dv, dt)
         assert set(grads) == set(model.params)
         for name in sorted(grads):
-            nn.check_gradient(lambda _: loss_of()[0], model.params[name], grads[name])
+            ref.check_gradient(lambda _: loss_of()[0], model.params[name], grads[name])
 
     def test_unshared_encoder_gradients(self, rng):
         model = init_model(small_config(share_encoder=False))
@@ -150,7 +150,7 @@ class TestForward:
         _, dv, dt, cache = loss_of()
         grads = backward(model, cache, dv, dt)
         for name in sorted(grads):
-            nn.check_gradient(lambda _: loss_of()[0], model.params[name], grads[name])
+            ref.check_gradient(lambda _: loss_of()[0], model.params[name], grads[name])
 
 
     @pytest.mark.parametrize("share", [True, False])
@@ -167,13 +167,13 @@ class TestForward:
         prefix = model.encoder_prefix(0)
         assert set(grads) == {n for n in model.params if n.startswith((f"{prefix}.", "thead."))}
         for name in sorted(grads):
-            nn.check_gradient(lambda _: loss_of()[0][0], model.params[name], grads[name])
+            ref.check_gradient(lambda _: loss_of()[0][0], model.params[name], grads[name])
 
     def test_vision_only_never_uses_phg(self, rng):
         model = init_model(TrainConfig(mode="vision_only"))
         assert model.use_phg is False
         _, logits_t, cache = forward(model, rng.random((8, 8)), random_features(rng))
-        assert not cache["phg"] and np.array_equal(logits_t, np.zeros(3))
+        assert "enc_cache0" not in cache and np.array_equal(logits_t, np.zeros(3))
 
 
 class TestTotalLoss:

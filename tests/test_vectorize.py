@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import alive_counts
+from grid_reference import betti_oracle, sublevel_mask
 from topogate.cubical import grid_persistence
 from topogate.diagram import Diagram, finitize
-from topogate.grid import betti_oracle, sublevel_mask
 from topogate.vectorize import (
     ImageGridSpec,
     betti_curve,
@@ -28,6 +28,17 @@ finite_diagrams = st.lists(
 ).map(lambda pts: Diagram.from_points([(b, b + g, 0) for b, g in pts]))
 
 
+@pytest.mark.parametrize("vectorizer", [
+    lambda d: betti_curve(d, [1.0]),
+    lambda d: landscape(d, 1, [1.0]),
+    lambda d: silhouette(d, 1, [1.0]),
+    lambda d: persistence_image(d, ImageGridSpec(2, 2, (0, 1), (0, 1), 0.5)),
+], ids=["betti", "landscape", "silhouette", "pimage"])
+def test_nan_death_is_essential(vectorizer):
+    with pytest.raises(ValueError, match="finitized"):
+        vectorizer(Diagram(np.array([0.5]), np.array([np.nan]), np.array([0])))
+
+
 class TestBettiCurve:
     def test_both_alive(self):
         assert betti_curve(diag_of((0, 2, 0), (1, 3, 0)), [1.5])[0] == 2
@@ -38,7 +49,7 @@ class TestBettiCurve:
         assert betti_curve(d, [2.0])[0] == 1  # dead exactly at its death
 
     def test_empty(self):
-        assert np.all(betti_curve(Diagram.empty(), default_t_grid()) == 0)
+        assert np.all(betti_curve(Diagram.empty(), default_t_grid(64, 0.0, 1.0)) == 0)
 
     def test_grid_requires_increasing(self):
         with pytest.raises(ValueError):
@@ -49,8 +60,8 @@ class TestBettiCurve:
         d = finitize(grid_persistence(g), 8)
         for tau in range(8):
             b0, b1 = betti_oracle(sublevel_mask(g, tau))
-            assert betti_curve(d, [tau + 0.0], dim=0)[0] == b0
-            assert betti_curve(d, [tau + 0.0], dim=1)[0] == b1
+            assert betti_curve(d.select(0), [tau + 0.0])[0] == b0
+            assert betti_curve(d.select(1), [tau + 0.0])[0] == b1
 
 
 class TestLandscape:
@@ -94,7 +105,7 @@ class TestSilhouette:
         assert silhouette(d, 0, [1.0])[0] == pytest.approx((1.0 + 1.0) / 2)
 
     def test_empty_all_zero(self):
-        assert np.all(silhouette(Diagram.empty(), 1, default_t_grid()) == 0)
+        assert np.all(silhouette(Diagram.empty(), 1, default_t_grid(64, 0.0, 1.0)) == 0)
 
     @given(finite_diagrams)
     @settings(max_examples=60, deadline=None)

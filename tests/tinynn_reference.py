@@ -1,5 +1,6 @@
 """Parity references for the linear, conv and max-pool kernels of
-``topogate.tinynn``.
+``topogate.tinynn``, and the central finite-difference gradient checker the
+tests verify every backward with.
 
 These are the kernels the network was first written with: a linear layer
 that adds its bias into a second array, ``np.pad`` and a sliding-window copy
@@ -56,3 +57,33 @@ def maxpool2x2_forward(x: np.ndarray):
     arg = win.argmax(axis=3)
     y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
     return y, arg
+
+
+def numerical_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central finite differences of scalar-valued f at x, elementwise."""
+    grad = np.zeros_like(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    gflat = grad.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = f(x)
+        flat[i] = orig - h
+        fm = f(x)
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2 * h)
+    return grad
+
+
+def check_gradient(f, x, analytic, h: float = 1e-5, rtol: float = 1e-4) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    Relative error per element: |a - n| / max(1, |a|, |n|). Raises
+    AssertionError above rtol; returns the max error otherwise.
+    """
+    numeric = numerical_gradient(f, np.asarray(x, dtype=np.float64), h=h)
+    denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
+    err = float(np.max(np.abs(analytic - numeric) / denom)) if numeric.size else 0.0
+    if err >= rtol:
+        raise AssertionError(f"gradient check failed: max relative error {err:.3e}")
+    return err
