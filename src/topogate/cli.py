@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -193,7 +194,6 @@ def cmd_train(args) -> int:
         ratio=args.ratio,
         share_encoder=args.share_encoder,
         mode=args.mode,
-        use_phg=args.mode == "full",
         n_classes=max(s.label for s in samples) + 1,
     )
     dataset, stats = pipeline.build_feature_dataset(samples, n_per_group=config.n_per_group)
@@ -445,7 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The rule each numeric flag's value must meet, by argparse dest, as (rule,
 # test of the parsed args). main checks the flags the command has before it
-# runs, so a bad value exits 2 naming the flag and no file is written.
+# runs, so a bad value exits 2 naming the flag and no file is written. Every
+# float flag must also be finite, which these rules do not say: inf passes a
+# lower bound, and --min-pers, --finitize and --t-min have no rule.
 _FLAG_RULES = {
     "n": (">= 1", lambda a: a.n >= 1),
     "noise": (">= 0", lambda a: a.noise >= 0),
@@ -467,12 +469,15 @@ _FLAG_RULES = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _print_config(args)
-    for dest, (rule, ok) in _FLAG_RULES.items():
-        if dest in args and not ok(args):
-            flag = "--" + dest.replace("_", "-")
-            print(f"error: {args.command} {flag} {getattr(args, dest):g}: must be {rule}",
-                  file=sys.stderr)
-            return 2
+    broken = [(d, "finite") for d, v in vars(args).items()
+              if isinstance(v, float) and not math.isfinite(v)]
+    broken += [(d, rule) for d, (rule, ok) in _FLAG_RULES.items() if d in args and not ok(args)]
+    if broken:
+        dest, rule = broken[0]
+        flag = "--" + dest.replace("_", "-")
+        print(f"error: {args.command} {flag} {getattr(args, dest):g}: must be {rule}",
+              file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (gridmod.FormatError, dg.DiagramFormatError, OSError) as e:

@@ -2,11 +2,13 @@
 that inject topological features into a small two-block CNN, the topological
 classifier head, joint loss, and deterministic training/evaluation loops.
 
-The PD encoding is computed once per sample. It gates both conv blocks, which
-`forward` runs in one loop and `backward` in the reversed loop, and it feeds
-the topological head. The encoder, the gates and the topological head are
-linear/relu stacks run by one private forward/backward pair, which the fused
-model and the `pd_only` variant share.
+The training mode decides which parameters a model holds, and the parameters
+decide what `forward` and `backward` run: `vision_only` holds the vision stub,
+`pd_only` the encoder and the topological head, and `full` both, joined by the
+gates. The PD encoding is computed once per sample. It gates both conv blocks,
+which `forward` runs in one loop and `backward` in the reversed loop, and it
+feeds the topological head. The encoder, the gates and the topological head
+are linear/relu stacks run by one private forward/backward pair.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 
 import numpy as np
 
@@ -51,29 +53,34 @@ class TrainConfig:
     seed: int = 0
     n_per_group: int = DEFAULT_N_PER_GROUP
     ratio: int = 8
-    share_encoder: bool = True
-    use_phg: bool = True
+    share_encoder: bool = True  # False gives gate1 its own encoder (full mode only)
     mode: str = "full"  # full | vision_only | pd_only
     m_dim: int = 64
     channels: tuple[int, int] = (16, 32)
     n_classes: int = 3
+    # accepted for older callers when it agrees with `mode`; never stored
+    use_phg: InitVar[bool | None] = None
+
+    def __post_init__(self, use_phg):
+        if use_phg is not None and use_phg != (self.mode != "vision_only"):
+            raise ValueError(f"use_phg={use_phg} contradicts mode {self.mode!r}")
 
 
 @dataclass
 class PHGModel:
-    """Vision stub (two conv-pool blocks) with per-block topological gates.
+    """The parameters of the branches a mode runs.
 
-    Only what the parameters cannot tell is stored: whether the topological
-    branch runs (`use_phg`). The sizes and the encoder layout are read from
-    the parameter shapes.
+    Vision stub: conv1, conv2, vhead. Topological branch: the PD encoder
+    (enc, or enc0 and enc1 unshared) and thead. Gates gate0 and gate1 exist
+    only when both branches do. Sizes and layout are read from the shapes.
     """
 
     params: dict[str, np.ndarray]
-    use_phg: bool
 
     @property
     def n_classes(self) -> int:
-        return self.params["vhead.b"].shape[0]
+        head = "vhead.b" if "vhead.b" in self.params else "thead.l2.b"
+        return self.params[head].shape[0]
 
     @property
     def m_dim(self) -> int:
@@ -109,40 +116,40 @@ def _init_mlp(params, rng, prefixes, widths):
 
 
 def init_model(config: TrainConfig) -> PHGModel:
-    """Deterministic initialization.
+    """Deterministic initialization of the branches `config.mode` runs.
 
-    Each component draws from an independent seeded stream so that the vision
-    stub's parameters are identical whether or not the topological components
-    exist (needed for the fusion-reduces-to-baseline property).
+    Each component draws from an independent seeded stream, so every array
+    is the same whichever other components exist (needed for the
+    fusion-reduces-to-baseline property).
     """
     params: dict[str, np.ndarray] = {}
     c1, c2 = config.channels
     k = config.n_classes
     m = config.m_dim
+    vision, topo = config.mode != "pd_only", config.mode != "vision_only"
 
-    rng_v = np.random.default_rng([config.seed, 0])
-    for n, (c_in, c_out) in enumerate(((1, c1), (c1, c2)), 1):
-        params[f"conv{n}.w"] = nn.glorot_uniform(rng_v, 9 * c_in, 9 * c_out, (c_out, c_in, 3, 3))
-        params[f"conv{n}.b"] = np.zeros(c_out)
-    _init_mlp(params, rng_v, ("vhead",), (c2, k))
+    if vision:
+        rng_v = np.random.default_rng([config.seed, 0])
+        for n, (c_in, c_out) in enumerate(((1, c1), (c1, c2)), 1):
+            params[f"conv{n}.w"] = nn.glorot_uniform(rng_v, 9 * c_in, 9 * c_out, (c_out, c_in, 3, 3))
+            params[f"conv{n}.b"] = np.zeros(c_out)
+        _init_mlp(params, rng_v, ("vhead",), (c2, k))
 
-    rng_e = np.random.default_rng([config.seed, 1])
-    for prefix in ("enc",) if config.share_encoder else ("enc0", "enc1"):
-        _init_mlp(params, rng_e, _encoder_layers(prefix), (FEATURE_WIDTH, 64, 128, m))
+    if topo:
+        rng_e = np.random.default_rng([config.seed, 1])
+        for prefix in ("enc0", "enc1") if vision and not config.share_encoder else ("enc",):
+            _init_mlp(params, rng_e, _encoder_layers(prefix), (FEATURE_WIDTH, 64, 128, m))
 
-    rng_g = np.random.default_rng([config.seed, 2])
-    for i, c in enumerate((c1, c2)):
-        hidden = max(1, math.ceil(c / config.ratio))
-        _init_mlp(params, rng_g, _gate_layers(f"gate{i}"), (m, hidden, c))
+    if vision and topo:
+        rng_g = np.random.default_rng([config.seed, 2])
+        for i, c in enumerate((c1, c2)):
+            hidden = max(1, math.ceil(c / config.ratio))
+            _init_mlp(params, rng_g, _gate_layers(f"gate{i}"), (m, hidden, c))
 
-    rng_t = np.random.default_rng([config.seed, 3])
-    _init_mlp(params, rng_t, _THEAD, (m, 32, k))
-    return _build_model(params, config)
-
-
-def _build_model(params: dict[str, np.ndarray], config: TrainConfig) -> PHGModel:
-    """Used by init and load alike; `vision_only` turns the topological branch off."""
-    return PHGModel(params=params, use_phg=config.use_phg and config.mode != "vision_only")
+    if topo:
+        rng_t = np.random.default_rng([config.seed, 3])
+        _init_mlp(params, rng_t, _THEAD, (m, 32, k))
+    return PHGModel(params)
 
 
 # ------------------------------------------------------------------------- MLP
@@ -225,126 +232,108 @@ def refine(feature_map: np.ndarray, gate_vec: np.ndarray) -> np.ndarray:
     return feature_map * gate_vec
 
 
-# ----------------------------------------------------------------- full model
+# ----------------------------------------------------------- forward, backward
 
 
 def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray):
-    """Run the fused model; returns (logits_vision, logits_topo, cache).
+    """Run the branches the model holds; returns (logits_vision, logits_topo, cache).
 
-    image: (h, w) float in [0, 1]. With use_phg off the gates are identity and
-    the topological branch is skipped (zero logits).
+    image: (h, w) float in [0, 1], read only by the vision stub. A branch the
+    model does not hold gives None logits; the gates run when both branches do.
     """
     p = model.params
-    x = np.asarray(image, dtype=np.float64)[:, :, None]
     cache: dict = {}
+    logits_v = logits_t = None
 
-    phg = model.use_phg
     ts = []
-    if phg:
+    if "thead.l1.w" in p:
         for i in range(1 if model.share_encoder else 2):
             t, cache[f"enc_cache{i}"] = encode_pd(pd_features, p, model.encoder_prefix(i))
             ts.append(t)
         if model.share_encoder:
             ts.append(ts[0])
-
-    h = x
-    for i, n in enumerate((1, 2)):
-        y, patches = nn.conv3x3_forward(h, p[f"conv{n}.w"], p[f"conv{n}.b"])
-        a = nn.relu_forward(y)
-        if phg:
-            g, cache[f"gate_cache{i}"] = gate_forward(ts[i], p, f"gate{i}")
-            ag = refine(a, g)
-        else:
-            g, ag = None, a
-        h, arg = nn.maxpool2x2_forward(ag)
-        cache.update({f"y{n}": y, f"a{n}": a, f"g{n}": g, f"a{n}g": ag,
-                      f"patches{n}": patches, f"arg{n}": arg, f"p{n}": h})
-
-    pooled = nn.global_avg_pool_forward(h)
-    logits_v = nn.linear_forward(pooled, p["vhead.w"], p["vhead.b"])
-    if phg:
         logits_t, cache["topo"] = _mlp_forward(p, _THEAD, ts[0])
-    else:
-        logits_t = np.zeros(model.n_classes)
-    cache["pooled"] = pooled
+
+    if "vhead.w" in p:
+        h = np.asarray(image, dtype=np.float64)[:, :, None]
+        for i, n in enumerate((1, 2)):
+            y, patches = nn.conv3x3_forward(h, p[f"conv{n}.w"], p[f"conv{n}.b"])
+            a = nn.relu_forward(y)
+            if ts:
+                g, cache[f"gate_cache{i}"] = gate_forward(ts[i], p, f"gate{i}")
+                ag = refine(a, g)
+            else:
+                g, ag = None, a
+            h, arg = nn.maxpool2x2_forward(ag)
+            cache.update({f"y{n}": y, f"a{n}": a, f"g{n}": g, f"a{n}g": ag,
+                          f"patches{n}": patches, f"arg{n}": arg, f"p{n}": h})
+        cache["pooled"] = nn.global_avg_pool_forward(h)
+        logits_v = nn.linear_forward(cache["pooled"], p["vhead.w"], p["vhead.b"])
     return logits_v, logits_t, cache
 
 
-def backward(model: PHGModel, cache: dict, dlogits_v: np.ndarray, dlogits_t: np.ndarray) -> dict:
-    """Exact gradients of the joint loss w.r.t. every trainable parameter."""
+def backward(model: PHGModel, cache: dict, dlogits_v, dlogits_t) -> dict:
+    """Exact gradients of the joint loss w.r.t. every parameter the model holds."""
     p = model.params
     grads: dict[str, np.ndarray] = {}
-    phg = model.use_phg
+    dt_gates = []  # gate0's, then gate1's gradient of its PD encoding
 
-    dpooled, grads["vhead.w"], grads["vhead.b"] = nn.linear_backward(
-        cache["pooled"], p["vhead.w"], dlogits_v
-    )
-    dh = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
-    dt_terms = [np.zeros(model.m_dim), np.zeros(model.m_dim)]
-    for i, n in ((1, 2), (0, 1)):
-        dag = nn.maxpool2x2_backward(cache[f"a{n}g"].shape, cache[f"arg{n}"], dh)
-        if phg:
-            dg = (dag * cache[f"a{n}"]).sum(axis=(0, 1))
-            dt_terms[i], gate_grads = gate_backward(cache[f"gate_cache{i}"], p, dg, f"gate{i}")
-            grads.update(gate_grads)
-            dag *= cache[f"g{n}"]  # now the gradient of the ungated activation
-        dy = nn.relu_backward(cache[f"y{n}"], dag)
-        w, patches = p[f"conv{n}.w"], cache[f"patches{n}"]
-        if n == 2:
-            dh, grads["conv2.w"], grads["conv2.b"] = nn.conv3x3_backward(cache["p1"], w, patches, dy)
-        else:  # block 1's input is the image, which needs no gradient
-            grads["conv1.w"], grads["conv1.b"] = nn.conv3x3_param_backward(w, patches, dy)
+    if "vhead.w" in p:
+        dpooled, grads["vhead.w"], grads["vhead.b"] = nn.linear_backward(
+            cache["pooled"], p["vhead.w"], dlogits_v
+        )
+        dh = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
+        for i, n in ((1, 2), (0, 1)):
+            dag = nn.maxpool2x2_backward(cache[f"a{n}g"].shape, cache[f"arg{n}"], dh)
+            if cache[f"g{n}"] is not None:
+                dg = (dag * cache[f"a{n}"]).sum(axis=(0, 1))
+                dt, gate_grads = gate_backward(cache[f"gate_cache{i}"], p, dg, f"gate{i}")
+                dt_gates.insert(0, dt)
+                grads.update(gate_grads)
+                dag *= cache[f"g{n}"]  # now the gradient of the ungated activation
+            dy = nn.relu_backward(cache[f"y{n}"], dag)
+            w, patches = p[f"conv{n}.w"], cache[f"patches{n}"]
+            if n == 2:
+                dh, grads["conv2.w"], grads["conv2.b"] = nn.conv3x3_backward(cache["p1"], w, patches, dy)
+            else:  # block 1's input is the image, which needs no gradient
+                grads["conv1.w"], grads["conv1.b"] = nn.conv3x3_param_backward(w, patches, dy)
 
-    if phg:
-        dt_topo, head_grads = _mlp_backward(p, _THEAD, cache["topo"], dlogits_t)
+    if "thead.l1.w" in p:
+        dt, head_grads = _mlp_backward(p, _THEAD, cache["topo"], dlogits_t)
         grads.update(head_grads)
-        dt_terms[0] = dt_terms[0] + dt_topo
-        if model.share_encoder:
-            dt_terms = [dt_terms[0] + dt_terms[1]]
-        for i, dt in enumerate(dt_terms):
-            grads.update(
-                encode_pd_backward(cache[f"enc_cache{i}"], p, dt, model.encoder_prefix(i))
-            )
+        dts = [dt]
+        if dt_gates:  # encoder 0 feeds gate0 and the head, encoder 1 feeds gate1
+            dts = [dt_gates[0] + dt, dt_gates[1]]
+            if model.share_encoder:
+                dts = [dts[0] + dts[1]]
+        for i, dt in enumerate(dts):
+            grads.update(encode_pd_backward(cache[f"enc_cache{i}"], p, dt, model.encoder_prefix(i)))
     return grads
 
 
 def total_loss(logits_v, logits_t, label: int, alpha: float):
-    """L = CE(vision) + alpha * CE(topo); returns (loss, dlogits_v, dlogits_t)."""
+    """L = CE(vision) + alpha * CE(topo); returns (loss, dlogits_v, dlogits_t).
+
+    A branch whose logits are None adds no term and gets a None gradient;
+    without the vision branch, CE(topo) is the whole loss, at weight 1.
+    """
+    if logits_v is None:
+        loss_t, dt = nn.softmax_cross_entropy(logits_t, label)
+        return loss_t, None, dt
     loss_v, dv = nn.softmax_cross_entropy(logits_v, label)
+    if logits_t is None:
+        return loss_v, dv, None
     loss_t, dt = nn.softmax_cross_entropy(logits_t, label)
     return loss_v + alpha * loss_t, dv, alpha * dt
-
-
-# ------------------------------------------------------------ PD-only variant
-
-
-def pd_only_forward(model: PHGModel, pd_features: np.ndarray):
-    t, enc_cache = encode_pd(pd_features, model.params, model.encoder_prefix(0))
-    logits, head_cache = _mlp_forward(model.params, _THEAD, t)
-    return logits, (enc_cache, head_cache)
-
-
-def pd_only_backward(model: PHGModel, cache, dlogits: np.ndarray) -> dict:
-    enc_cache, head_cache = cache
-    dt, grads = _mlp_backward(model.params, _THEAD, head_cache, dlogits)
-    grads.update(encode_pd_backward(enc_cache, model.params, dt, model.encoder_prefix(0)))
-    return grads
 
 
 # -------------------------------------------------------------------- training
 
 
-def _sample_loss_and_grads(model: PHGModel, image, features, label, config: TrainConfig):
-    if config.mode == "pd_only":
-        logits, cache = pd_only_forward(model, features)
-        loss, dlogits = nn.softmax_cross_entropy(logits, label)
-        return loss, pd_only_backward(model, cache, dlogits)
+def _sample_grads(model: PHGModel, image, features, label, alpha: float):
+    """(loss, grads) of one sample; the forward cache is freed on return."""
     logits_v, logits_t, cache = forward(model, image, features)
-    if model.use_phg:
-        loss, dv, dt = total_loss(logits_v, logits_t, label, config.alpha)
-    else:
-        loss, dv = nn.softmax_cross_entropy(logits_v, label)
-        dt = np.zeros_like(logits_t)
+    loss, dv, dt = total_loss(logits_v, logits_t, label, alpha)
     return loss, backward(model, cache, dv, dt)
 
 
@@ -377,9 +366,7 @@ def train(dataset, config: TrainConfig):
             batch_loss = 0.0
             for j in idx:
                 img = images[j][:, ::-1] if flips[j] else images[j]
-                loss, grads = _sample_loss_and_grads(
-                    model, img, dataset[j][1], dataset[j][2], config
-                )
+                loss, grads = _sample_grads(model, img, dataset[j][1], dataset[j][2], config.alpha)
                 batch_loss += loss
                 for name in grads:
                     if name in batch_grads:
@@ -415,19 +402,19 @@ def _auc_ovr(scores: np.ndarray, positives: np.ndarray) -> float:
 
 
 def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
-    """Accuracy plus one-vs-rest AUC/sensitivity/specificity class averages."""
+    """Accuracy plus one-vs-rest AUC/sensitivity/specificity class averages.
+
+    The vision logits are scored, or the topological ones in `pd_only` mode.
+    """
     if not dataset:
         raise ValueError("empty evaluation dataset")
     k = model.n_classes
     probs = np.zeros((len(dataset), k))
     labels = np.zeros(len(dataset), dtype=np.int64)
     for i, (image, features, label) in enumerate(dataset):
-        # [0] drops each forward's cache before the next forward runs
-        if mode == "pd_only":
-            logits = pd_only_forward(model, features)[0]
-        else:
-            img = np.asarray(image, dtype=np.float64) / 255.0
-            logits = forward(model, img, features)[0]
+        # indexing drops each forward's cache before the next forward runs
+        img = np.asarray(image, dtype=np.float64) / 255.0
+        logits = forward(model, img, features)[1 if mode == "pd_only" else 0]
         probs[i] = nn.softmax(logits)
         labels[i] = label
     present = np.unique(labels)
@@ -457,19 +444,21 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
 
 
 def save_checkpoint(directory, model: PHGModel, config: TrainConfig, stats: NormalizationStats) -> None:
-    """Flat JSON manifest plus raw little-endian float64 parameter blob."""
+    """Flat JSON manifest plus raw little-endian float64 parameter blob.
+
+    The blob holds the parameters in name order; `init_model(config)` gives
+    their names and shapes, so the manifest lists none of them.
+    """
     os.makedirs(directory, exist_ok=True)
-    names = sorted(model.params)
     manifest = {
-        "format": 2,
-        "params": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
+        "format": 3,
         "config": {**asdict(config), "channels": list(config.channels)},
         "stats": {"mean": stats.mean.tolist(), "std": stats.std.tolist()},
     }
     with open(os.path.join(directory, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
         f.write("\n")
-    blob = np.concatenate([model.params[n].ravel() for n in names])
+    blob = np.concatenate([model.params[n].ravel() for n in sorted(model.params)])
     blob.astype("<f8").tofile(os.path.join(directory, "params.bin"))
 
 
@@ -477,11 +466,9 @@ def load_checkpoint(directory):
     """Returns (model, config, stats) written by save_checkpoint.
 
     Raises ValueError naming the file when the manifest is not a JSON object
-    of format 2 with "params", "config" (TrainConfig's fields) and "stats"
-    (two numbers each for "mean" and "std"), when "params" does not list each
-    parameter the config builds once as {"name": str, "shape": [int, ...]}
-    with its shape, or when the blob does not hold exactly the values the
-    manifest lists.
+    of format 3 with "config" (TrainConfig's fields, building a model) and
+    "stats" (two numbers each for "mean" and "std"), or when the blob does not
+    hold exactly the values of the parameters the config builds.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     blob_path = os.path.join(directory, "params.bin")
@@ -492,9 +479,12 @@ def load_checkpoint(directory):
             raise ValueError(f"{manifest_path}: not JSON: {e}") from None
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: not a JSON object")
-    if manifest.get("format") != 2:
-        raise ValueError(f"{manifest_path}: unsupported format {manifest.get('format')!r}")
-    missing = {"params", "config", "stats"} - manifest.keys()
+    if manifest.get("format") != 3:
+        raise ValueError(
+            f"{manifest_path}: unsupported format {manifest.get('format')!r}; this version"
+            " reads format 3, so retrain"
+        )
+    missing = {"config", "stats"} - manifest.keys()
     if missing:
         raise ValueError(f"{manifest_path}: missing {', '.join(sorted(missing))}")
     cfg, stats = manifest["config"], manifest["stats"]
@@ -509,38 +499,19 @@ def load_checkpoint(directory):
         raise ValueError(f"{manifest_path}: stats mean and std must each hold 2 numbers")
     try:
         config = TrainConfig(**{**cfg, "channels": tuple(cfg["channels"])})
-        shapes = {n: list(a.shape) for n, a in init_model(config).params.items()}
+        params = init_model(config).params
     except (TypeError, ValueError) as e:
         raise ValueError(f"{manifest_path}: config does not build a model: {e}") from None
-    entries = manifest["params"]
-    if not isinstance(entries, list) or not all(map(_param_entry, entries)):
-        raise ValueError(
-            f"{manifest_path}: params must be a list of objects with a string name"
-            " and a shape of non-negative ints"
-        )
-    listed = {e["name"]: e["shape"] for e in entries}
-    if len(listed) != len(entries) or listed != shapes:
-        raise ValueError(
-            f"{manifest_path}: params must list each parameter the config builds once,"
-            " with its shape"
-        )
-    sizes = [math.prod(entry["shape"]) for entry in entries]
+    order = sorted(params)
+    sizes = [params[n].size for n in order]
     with open(blob_path, "rb") as f:
         data = f.read()
     if len(data) != 8 * sum(sizes):
         raise ValueError(
-            f"{blob_path}: holds {len(data)} bytes, the manifest lists {sum(sizes)} float64 values"
+            f"{blob_path}: holds {len(data)} bytes, the config builds {sum(sizes)} float64 values"
         )
     chunks = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
-    params = {e["name"]: c.reshape(e["shape"]).copy() for e, c in zip(entries, chunks)}
+    for n, c in zip(order, chunks):
+        params[n] = c.reshape(params[n].shape).copy()
     stats = NormalizationStats(np.array(stats["mean"]), np.array(stats["std"]))
-    return _build_model(params, config), config, stats
-
-
-def _param_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(type(d) is int and d >= 0 for d in entry["shape"])
-    )
+    return PHGModel(params), config, stats

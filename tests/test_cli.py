@@ -240,15 +240,16 @@ class TestTrainEval:
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
         assert str(blob) in capsys.readouterr().err
 
-    def test_eval_params_entry_without_shape(self, tmp_path, dataset_dir, capsys):
+    def test_eval_format_2_checkpoint_says_retrain(self, tmp_path, dataset_dir, capsys):
         run_dir = tmp_path / "run"
         assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), "--mode",
                     "pd_only", "--epochs", "1", "--batch-size", "3", "--n-per-group", "8"]) == 0
         path = run_dir / "manifest.json"
-        path.write_text(json.dumps({**json.loads(path.read_text()), "params": [{"name": "x"}]}))
+        path.write_text(json.dumps({**json.loads(path.read_text()), "format": 2}))
         capsys.readouterr()
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
-        assert f"{path}: params must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{path}: unsupported format 2" in err and "retrain" in err
 
     def test_truncated_image_named(self, tmp_path, dataset_dir, capsys):
         image = dataset_dir / "sample_00003.pgm"
@@ -278,6 +279,32 @@ class TestTrainEval:
     def test_eval_missing_checkpoint(self, dataset_dir, tmp_path):
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint",
                     str(tmp_path / "nothing")]) == 1
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("compute", "--min-pers", "nan"),
+    ("compute", "--finitize", "nan"),
+    ("compute", "--finitize", "inf"),
+    ("vectorize", "--t-min", "-inf"),
+    ("vectorize", "--t-max", "inf"),
+    ("vectorize", "--power", "inf"),
+    ("vectorize", "--sigma", "inf"),
+    ("train", "--lr", "inf"),
+    ("train", "--alpha", "inf"),
+], ids=lambda v: v.lstrip("-"))
+def test_non_finite_float_flag_usage_error(tmp_path, dataset_dir, capsys, command, flag, value):
+    """Every float flag must be finite; main refuses before any file is written."""
+    diagram = tmp_path / "d.json"
+    write_diagram(diagram, Diagram.from_points([(10, 200, 1)]))
+    out = tmp_path / "out"
+    inputs = {
+        "compute": ["--input", str(dataset_dir)],
+        "vectorize": ["--diagram", str(diagram), "--method", "betti"],
+        "train": ["--data", str(dataset_dir)],
+    }[command]
+    assert run([command, *inputs, "--out", str(out), f"{flag}={value}"]) == 2
+    assert f"error: {command} {flag} {value}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestPlot:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -19,8 +20,6 @@ from topogate.model import (
     gate_forward,
     init_model,
     load_checkpoint,
-    pd_only_backward,
-    pd_only_forward,
     refine,
     save_checkpoint,
     total_loss,
@@ -159,11 +158,12 @@ class TestForward:
         feats = random_features(rng)
 
         def loss_of():
-            logits, cache = pd_only_forward(model, feats)
-            return nn.softmax_cross_entropy(logits, 2), cache
+            lv, lt, cache = forward(model, None, feats)  # no vision stub reads the image
+            loss, _, dlogits = total_loss(lv, lt, 2, 0.1)
+            return (loss, dlogits), cache
 
         (_, dlogits), cache = loss_of()
-        grads = pd_only_backward(model, cache, dlogits)
+        grads = backward(model, cache, None, dlogits)
         prefix = model.encoder_prefix(0)
         assert set(grads) == {n for n in model.params if n.startswith((f"{prefix}.", "thead."))}
         for name in sorted(grads):
@@ -171,9 +171,47 @@ class TestForward:
 
     def test_vision_only_never_uses_phg(self, rng):
         model = init_model(TrainConfig(mode="vision_only"))
-        assert model.use_phg is False
+        assert not any(n.startswith(("enc", "gate", "thead")) for n in model.params)
         _, logits_t, cache = forward(model, rng.random((8, 8)), random_features(rng))
-        assert "enc_cache0" not in cache and np.array_equal(logits_t, np.zeros(3))
+        assert "enc_cache0" not in cache and logits_t is None
+
+
+BRANCHES = {
+    "full": {"conv1", "conv2", "vhead", "enc", "gate0", "gate1", "thead"},
+    "vision_only": {"conv1", "conv2", "vhead"},
+    "pd_only": {"enc", "thead"},
+}
+
+
+class TestModes:
+    @pytest.mark.parametrize("mode", sorted(BRANCHES))
+    def test_mode_holds_its_branches(self, mode):
+        model = init_model(small_config(mode=mode))
+        assert {n.split(".")[0] for n in model.params} == BRANCHES[mode]
+
+    @pytest.mark.parametrize("share", [True, False], ids=["shared", "unshared"])
+    @pytest.mark.parametrize("mode", ["vision_only", "pd_only"])
+    def test_kept_arrays_equal_full_models(self, mode, share):
+        full = init_model(small_config(share_encoder=share)).params
+        kept = init_model(small_config(mode=mode, share_encoder=share)).params
+        for name, a in kept.items():
+            # pd_only's one encoder draws first from the encoder stream, as enc0 does
+            twin = name.replace("enc.", "enc0.") if name not in full else name
+            assert a.tobytes() == full[twin].tobytes(), name
+
+    def test_pd_only_unshared_names_its_encoder_enc(self):
+        shared = init_model(small_config(mode="pd_only")).params
+        unshared = init_model(small_config(mode="pd_only", share_encoder=False))
+        assert unshared.share_encoder and unshared.encoder_prefix(1) == "enc"
+        assert sorted(unshared.params) == sorted(shared)
+
+    def test_use_phg_is_init_only(self):
+        assert len(fields(TrainConfig)) == 12
+        for mode in BRANCHES:
+            config = TrainConfig(mode=mode, use_phg=mode != "vision_only")
+            assert config == TrainConfig(mode=mode) and "use_phg" not in asdict(config)
+            with pytest.raises(ValueError, match="contradicts mode"):
+                TrainConfig(mode=mode, use_phg=mode == "vision_only")
 
 
 class TestTotalLoss:
@@ -293,12 +331,11 @@ class TestEvaluate:
         assert metrics["auc"] == 1.0
 
     def test_constant_predictor_on_balanced_two_class(self, rng):
-        model = init_model(small_config(n_classes=2))
+        model = init_model(small_config(n_classes=2, mode="vision_only"))
         # kill the head so logits are constant; class 0 wins every argmax
         for name in ("vhead.w", "vhead.b"):
             model.params[name][:] = 0.0
         model.params["vhead.b"][0] = 1.0
-        model.use_phg = False
         ds = [(rng.integers(0, 256, (8, 8)).astype(np.uint8), np.zeros((8, 5)), i % 2)
               for i in range(20)]
         metrics = evaluate(model, ds)
@@ -355,15 +392,37 @@ class TestCheckpoint:
         for m in (model, loaded):
             assert (m.n_classes, m.m_dim, m.channels, m.share_encoder) == (4, 5, (4, 6), share)
 
+    @pytest.mark.parametrize("mode,share", [
+        ("vision_only", True), ("pd_only", True), ("pd_only", False),
+    ], ids=["vision_only", "pd_only", "pd_only-unshared"])
+    def test_roundtrip_every_mode(self, tmp_path, rng, mode, share):
+        cfg = small_config(mode=mode, share_encoder=share)
+        model = init_model(cfg)
+        save_checkpoint(tmp_path / "ck", model, cfg, NormalizationStats.identity())
+        loaded, cfg2, _ = load_checkpoint(tmp_path / "ck")
+        assert cfg2 == cfg and sorted(loaded.params) == sorted(model.params)
+        for name in model.params:
+            assert loaded.params[name].tobytes() == model.params[name].tobytes(), name
+        img, feats = rng.random((8, 8)), random_features(rng)
+        for a, b in zip(forward(model, img, feats)[:2], forward(loaded, img, feats)[:2]):
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("corrupt,says", [
         (lambda ck: (ck / "params.bin").write_bytes((ck / "params.bin").read_bytes()[:-8]),
          "params.bin"),
         (lambda ck: (ck / "params.bin").write_bytes((ck / "params.bin").read_bytes() + b"\0" * 8),
          "params.bin"),
         (lambda ck: (ck / "manifest.json").write_text(
-            (ck / "manifest.json").read_text().replace('"format": 2', '"format": 1')),
+            (ck / "manifest.json").read_text().replace('"format": 3', '"format": 1')),
          "manifest.json: unsupported format 1"),
-    ], ids=["truncated", "overlong", "format1"])
+        (lambda ck: (ck / "manifest.json").write_text(
+            (ck / "manifest.json").read_text().replace('"format": 3', '"format": 2')),
+         "manifest.json: unsupported format 2; .* retrain"),
+        # the config builds the names and sizes the blob is read as
+        (lambda ck: (ck / "manifest.json").write_text(
+            (ck / "manifest.json").read_text().replace('"mode": "full"', '"mode": "pd_only"')),
+         "params.bin"),
+    ], ids=["truncated", "overlong", "format1", "format2", "mode-edited"])
     def test_malformed_checkpoint_rejected(self, tmp_path, corrupt, says):
         cfg = small_config()
         save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
@@ -374,43 +433,19 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit,says", [
         (lambda m: "not json", "not JSON"),
         (lambda m: "[1, 2]", "not a JSON object"),
-        (lambda m: json.dumps({k: v for k, v in m.items() if k != "params"}), "missing params"),
         (lambda m: json.dumps({k: v for k, v in m.items() if k != "config"}), "missing config"),
         (lambda m: json.dumps({k: v for k, v in m.items() if k != "stats"}), "missing stats"),
         (lambda m: json.dumps({**m, "config": {**m["config"], "dropout": 0.5}}), "TrainConfig"),
+        (lambda m: json.dumps({**m, "config": {**m["config"], "use_phg": True}}), "TrainConfig"),
         (lambda m: json.dumps({**m, "stats": {**m["stats"], "mean": [0.0]}}), "2 numbers"),
         (lambda m: json.dumps({**m, "stats": {**m["stats"], "std": [1.0, "x"]}}), "2 numbers"),
-    ], ids=["not-json", "array", "no-params", "no-config", "no-stats", "extra-config-key",
-            "short-mean", "text-std"])
+    ], ids=["not-json", "array", "no-config", "no-stats", "extra-config-key",
+            "use-phg-config-key", "short-mean", "text-std"])
     def test_malformed_manifest_rejected(self, tmp_path, edit, says):
         cfg = small_config()
         save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
         path = tmp_path / "ck" / "manifest.json"
         path.write_text(edit(json.loads(path.read_text())))
-        with pytest.raises(ValueError, match=f"manifest.json: .*{says}"):
-            load_checkpoint(tmp_path / "ck")
-
-    @pytest.mark.parametrize("edit,says", [
-        (lambda ps: [{"name": "x"}], "list of objects"),
-        (lambda ps: {"conv1.b": [4]}, "list of objects"),
-        (lambda ps: ps + [7], "list of objects"),
-        (lambda ps: [{**ps[0], "name": 1}] + ps[1:], "list of objects"),
-        (lambda ps: [{**ps[0], "shape": [-1, 4]}] + ps[1:], "list of objects"),
-        (lambda ps: [{**ps[0], "shape": [4.0]}] + ps[1:], "list of objects"),
-        (lambda ps: [{**ps[0], "shape": [True] * len(ps[0]["shape"])}] + ps[1:], "list of objects"),
-        (lambda ps: ps[1:], "each parameter the config builds once"),
-        (lambda ps: ps + [ps[0]], "each parameter the config builds once"),
-        (lambda ps: ps + [{"name": "extra.w", "shape": [0]}], "each parameter the config builds once"),
-        (lambda ps: [{**e, "shape": e["shape"][::-1]} if e["name"] == "vhead.w" else e for e in ps],
-         "each parameter the config builds once"),
-    ], ids=["name-only", "object", "not-an-object", "int-name", "negative-dim", "float-dim",
-            "bool-dim", "missing-name", "duplicate-name", "extra-name", "transposed-shape"])
-    def test_malformed_params_rejected(self, tmp_path, edit, says):
-        cfg = small_config()
-        save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
-        path = tmp_path / "ck" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        path.write_text(json.dumps({**manifest, "params": edit(manifest["params"])}))
         with pytest.raises(ValueError, match=f"manifest.json: .*{says}"):
             load_checkpoint(tmp_path / "ck")
 
