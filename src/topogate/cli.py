@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,10 +24,6 @@ from . import grid as gridmod
 from . import model as modelmod
 from . import pipeline, vectorize
 from .cubical import grid_persistence
-
-def _print_config(args: argparse.Namespace) -> None:
-    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    print("config:", json.dumps(resolved, default=str, sort_keys=True))
 
 
 def _load_image(path: str) -> np.ndarray:
@@ -70,9 +67,7 @@ def cmd_compute(args) -> int:
 def cmd_vectorize(args) -> int:
     diag = dg.read_diagram(args.diagram)
     if diag.essential.any():
-        print(f"error: {args.diagram}: essential point; vectorize needs a finitized diagram",
-              file=sys.stderr)
-        return 1
+        raise gridmod.FormatError(f"{args.diagram}: essential point; vectorize needs a finitized diagram")
     if args.method == "pimage":
         lo = min([args.t_min] + diag.births.tolist())
         hi = max([args.t_max] + diag.deaths.tolist())
@@ -115,11 +110,7 @@ def _dataset_hash(directory: str, names: list[str]) -> str:
 
 
 def cmd_gen(args) -> int:
-    try:
-        samples = gridmod.generate_shapes(args.seed, args.n, args.size, noise=args.noise)
-    except ValueError as e:  # --size is the one flag main does not check
-        print(f"error: gen --size {args.size}: {e}", file=sys.stderr)
-        return 2
+    samples = gridmod.generate_shapes(args.seed, args.n, args.size, noise=args.noise)
     os.makedirs(args.out, exist_ok=True)
     names = []
     with open(os.path.join(args.out, "labels.csv"), "w", newline="") as f:
@@ -163,6 +154,8 @@ def _load_dataset(directory: str, mode: str):
         raise gridmod.FormatError(f"{path}: no samples")
     if min(labels) < 0:
         raise gridmod.FormatError(f"{path}: labels must be non-negative")
+    if len(set(labels)) < 2:
+        raise gridmod.FormatError(f"{path}: labels name fewer than two classes")
     samples = []
     for r, y in zip(rows, labels):
         image_path = os.path.join(directory, r["file"])
@@ -184,18 +177,10 @@ def _load_dataset(directory: str, mode: str):
 
 def cmd_train(args) -> int:
     samples = _load_dataset(args.data, args.mode)
-    config = modelmod.TrainConfig(
-        epochs=args.epochs,
-        lr=args.lr,
-        alpha=args.alpha,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        n_per_group=args.n_per_group,
-        ratio=args.ratio,
-        share_encoder=args.share_encoder,
-        mode=args.mode,
-        n_classes=max(s.label for s in samples) + 1,
-    )
+    # each train flag's dest is the TrainConfig field it sets
+    flags = {f.name for f in dataclasses.fields(modelmod.TrainConfig)} & vars(args).keys()
+    config = modelmod.TrainConfig(**{f: getattr(args, f) for f in flags},
+                                  n_classes=max(s.label for s in samples) + 1)
     dataset, stats = pipeline.build_feature_dataset(samples, n_per_group=config.n_per_group)
     model, history = modelmod.train(dataset, config)
     os.makedirs(args.out, exist_ok=True)
@@ -209,14 +194,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not os.path.exists(os.path.join(args.checkpoint, "manifest.json")):
-        print(f"error: no checkpoint manifest in {args.checkpoint}", file=sys.stderr)
-        return 1
-    try:
-        model, config, stats = modelmod.load_checkpoint(args.checkpoint)
-    except ValueError as e:  # the message names the malformed file
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    model, config, stats = modelmod.load_checkpoint(args.checkpoint)
     samples = _load_dataset(args.data, config.mode)
     dataset, _ = pipeline.build_feature_dataset(
         samples, stats=stats, n_per_group=config.n_per_group
@@ -339,11 +317,7 @@ def _read_curve_csv(path: str):
 
 def _read_history(path: str):
     """Epochs and losses of a history.json; FormatError naming the file."""
-    with open(path) as f:
-        try:
-            history = json.load(f)
-        except ValueError as e:  # not JSON, or not text
-            raise gridmod.FormatError(f"{path}: not JSON: {e}") from None
+    history = gridmod.read_json(path)
     fields = ("epoch", "train_loss")
     if not isinstance(history, list) or not history or not all(
         isinstance(h, dict) and all(dg._number(h.get(k)) for k in fields) for h in history
@@ -356,6 +330,9 @@ def _read_history(path: str):
 
 
 def cmd_plot(args) -> int:
+    if [args.diagram, args.curve, args.history].count(None) != 2:
+        print("error: plot takes exactly one of --diagram/--curve/--history", file=sys.stderr)
+        return 2
     if args.diagram:
         _plot_diagram_svg(dg.read_diagram(args.diagram), args.out)
     elif args.curve:
@@ -365,12 +342,9 @@ def cmd_plot(args) -> int:
             _plot_curves_svg(data[:, 0], cols, args.out)
         else:
             _plot_heatmap_svg(data, args.out)
-    elif args.history:
+    else:
         epochs, losses = _read_history(args.history)
         _plot_curves_svg(epochs, {"train_loss": losses}, args.out)
-    else:
-        print("error: one of --diagram/--curve/--history is required", file=sys.stderr)
-        return 2
     print(f"wrote plot -> {args.out}")
     return 0
 
@@ -418,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a generated dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=["full", "vision_only", "pd_only"], default=defaults.mode)
+    p.add_argument("--mode", choices=modelmod.MODES, default=defaults.mode)
     p.add_argument("--epochs", type=int, default=15)
     p.add_argument("--lr", type=float, default=3e-3)
     p.add_argument("--alpha", type=float, default=defaults.alpha)
@@ -444,19 +418,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The rule each numeric flag's value must meet, by argparse dest, as (rule,
-# test of the parsed args). main checks the flags the command has before it
-# runs, so a bad value exits 2 naming the flag and no file is written. Every
-# float flag must also be finite, which these rules do not say: inf passes a
-# lower bound, and --min-pers, --finitize and --t-min have no rule.
+# test of the parsed args), train's (and gen --seed's) being TrainConfig's rows.
+# main checks the flags the command has before it runs, so a bad value exits 2
+# naming the flag and no file is written. Every float flag must also be finite:
+# inf passes a lower bound, and --min-pers, --finitize and --t-min have no rule.
 _FLAG_RULES = {
+    **modelmod.CONFIG_RULES,
     "n": (">= 1", lambda a: a.n >= 1),
+    "size": (f">= {gridmod.MIN_SIZE}", lambda a: a.size >= gridmod.MIN_SIZE),
     "noise": (">= 0", lambda a: a.noise >= 0),
-    "epochs": (">= 1", lambda a: a.epochs >= 1),
-    "lr": ("> 0", lambda a: a.lr > 0),
-    "alpha": (">= 0", lambda a: a.alpha >= 0),
-    "batch_size": (">= 1", lambda a: a.batch_size >= 1),
-    "n_per_group": (">= 1", lambda a: a.n_per_group >= 1),
-    "ratio": (">= 1", lambda a: a.ratio >= 1),
     "sigma": ("> 0", lambda a: a.sigma > 0),
     "power": (">= 0", lambda a: a.power >= 0),
     "levels": (">= 1", lambda a: a.levels >= 1),
@@ -468,7 +438,8 @@ _FLAG_RULES = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _print_config(args)
+    resolved = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    print("config:", json.dumps(resolved, default=str, sort_keys=True))
     broken = [(d, "finite") for d, v in vars(args).items()
               if isinstance(v, float) and not math.isfinite(v)]
     broken += [(d, rule) for d, (rule, ok) in _FLAG_RULES.items() if d in args and not ok(args)]
@@ -480,7 +451,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (gridmod.FormatError, dg.DiagramFormatError, OSError) as e:
+    except (gridmod.FormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -3,16 +3,16 @@ fixed-size point-feature matrices for the set encoder."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import FormatError, read_json
+
 __all__ = [
     "Diagram",
     "NormalizationStats",
-    "DiagramFormatError",
     "finitize",
     "filter_persistence",
     "scale_normalize",
@@ -25,10 +25,6 @@ __all__ = [
 
 FEATURE_WIDTH = 5  # birth, death, onehot H0, onehot H1, presence
 DEFAULT_N_PER_GROUP = 150
-
-
-class DiagramFormatError(ValueError):
-    """Raised for malformed serialized diagrams."""
 
 
 @dataclass(frozen=True)
@@ -233,39 +229,33 @@ def _finite(value) -> bool:
 def read_diagram(path) -> Diagram:
     """Read a diagram written by :func:`write_diagram`, enforcing invariants.
 
-    Raises DiagramFormatError naming the file unless it is JSON with a
+    Raises FormatError naming the file unless it is JSON with a
     "points" list of objects, each with a finite numeric "birth", a finite
     numeric "death" above it (null for an essential point) and a "dim" of 0
     or 1.
     """
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except json.JSONDecodeError as e:
-        raise DiagramFormatError(f"{path}: malformed diagram JSON: {e}") from e
+    payload = read_json(path)
     if not isinstance(payload, dict) or "points" not in payload:
-        raise DiagramFormatError(f"{path}: diagram JSON missing 'points'")
+        raise FormatError(f"{path}: diagram JSON missing 'points'")
     if not isinstance(payload["points"], list):
-        raise DiagramFormatError(f"{path}: 'points' must be a list")
+        raise FormatError(f"{path}: 'points' must be a list")
     births, deaths, dims = [], [], []
     for i, p in enumerate(payload["points"]):
         if not isinstance(p, dict):
-            raise DiagramFormatError(f"{path}: point {i} is not an object")
+            raise FormatError(f"{path}: point {i} is not an object")
         missing = {"birth", "death", "dim"} - p.keys()
         if missing:
-            raise DiagramFormatError(f"{path}: point {i} lacks {', '.join(sorted(missing))}")
+            raise FormatError(f"{path}: point {i} lacks {', '.join(sorted(missing))}")
         b, d, k = p["birth"], p["death"], p["dim"]
-        if not _number(b) or not (d is None or _number(d)):
-            raise DiagramFormatError(f"{path}: point {i} has a non-numeric coordinate")
+        if not all(_number(x) and _finite(x) for x in ([b] if d is None else [b, d])):
+            raise FormatError(f"{path}: point {i} has a non-numeric or non-finite coordinate")
         e = bool(p.get("essential", d is None))
-        if not _finite(b) or (d is not None and not _finite(d)):
-            raise DiagramFormatError(f"{path}: non-finite diagram coordinate")
         if not e and d is not None and d <= b:
-            raise DiagramFormatError(f"{path}: death {d} <= birth {b}")
+            raise FormatError(f"{path}: death {d} <= birth {b}")
         if e != (d is None):
-            raise DiagramFormatError(f"{path}: essential flag inconsistent with death field")
+            raise FormatError(f"{path}: essential flag inconsistent with death field")
         if isinstance(k, bool) or k not in (0, 1):
-            raise DiagramFormatError(f"{path}: bad homology dimension {k}")
+            raise FormatError(f"{path}: bad homology dimension {k}")
         births.append(b)
         deaths.append(math.nan if e else d)
         dims.append(k)

@@ -1,8 +1,10 @@
 """Grayscale image grids: loading and saving, and synthetic shape datasets
-whose classes differ only in topology."""
+whose classes differ only in topology; FormatError, which every reader of an
+input file raises, and the JSON reader."""
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 
@@ -10,17 +12,29 @@ import numpy as np
 
 __all__ = [
     "FormatError",
+    "read_json",
     "SyntheticSample",
     "load_pgm",
     "save_pgm",
     "load_csv_grid",
     "generate_shapes",
     "SHAPE_CLASSES",
+    "MIN_SIZE",
 ]
 
 
 class FormatError(ValueError):
-    """Raised for malformed input files: images, grids, labels, curves, histories."""
+    """Raised for malformed input files: images, grids, labels, diagrams, curves,
+    histories and checkpoints."""
+
+
+def read_json(path):
+    """The value a JSON file holds; FormatError naming the file if it is not JSON text."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as e:  # not JSON, or not text
+            raise FormatError(f"{path}: not JSON: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -52,7 +66,7 @@ def _read_pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], 
 def load_pgm(path) -> np.ndarray:
     """Load a P2 (ASCII) or P5 (binary) PGM file as a (h, w) uint8 array.
 
-    No value scaling is applied; maxval must be <= 255.
+    No value scaling is applied; maxval must be <= 255, and no pixel above it.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -66,10 +80,8 @@ def load_pgm(path) -> np.ndarray:
         raise FormatError(f"non-numeric PGM header field: {e}") from e
     if width < 1 or height < 1:
         raise FormatError(f"bad PGM dimensions {width}x{height}")
-    if maxval > 255:
-        raise FormatError(f"maxval {maxval} exceeds 255")
-    if maxval < 1:
-        raise FormatError(f"bad maxval {maxval}")
+    if not 1 <= maxval <= 255:
+        raise FormatError(f"maxval {maxval} outside 1..255")
     npix = width * height
     if magic == b"P5":
         sep = data[pos : pos + 1]  # the raster starts one whitespace byte after maxval
@@ -85,10 +97,9 @@ def load_pgm(path) -> np.ndarray:
             values = np.array([int(t) for t in tokens], dtype=np.int64)
         except ValueError as e:
             raise FormatError(f"non-numeric P2 pixel: {e}") from e
-        if values.min() < 0 or values.max() > maxval:
-            raise FormatError("P2 pixel out of range")
-        values = values.astype(np.uint8)
-    return values.reshape(height, width)
+    if values.min() < 0 or values.max() > maxval:
+        raise FormatError(f"pixel out of range 0..{maxval}")
+    return values.astype(np.uint8, copy=False).reshape(height, width)
 
 
 def save_pgm(path, grid: np.ndarray) -> None:
@@ -113,6 +124,7 @@ def load_csv_grid(path) -> np.ndarray:
 
 
 SHAPE_CLASSES = ("disk", "annulus", "two_disks")
+MIN_SIZE = 32  # the smallest side generate_shapes draws
 
 _FOREGROUND = 40
 _BACKGROUND = 215
@@ -137,8 +149,8 @@ def generate_shapes(
     Additive noise is bounded so the coarse-threshold topology is preserved.
     Deterministic given the seed; labels are balanced round-robin.
     """
-    if size < 32:
-        raise ValueError("size must be >= 32")
+    if size < MIN_SIZE:
+        raise ValueError(f"size must be >= {MIN_SIZE}")
     rng = np.random.default_rng(seed)
     samples: list[SyntheticSample] = []
     for i in range(n):

@@ -21,9 +21,12 @@ from dataclasses import InitVar, asdict, dataclass, fields
 import numpy as np
 
 from . import tinynn as nn
-from .diagram import DEFAULT_N_PER_GROUP, FEATURE_WIDTH, NormalizationStats, _number
+from .diagram import DEFAULT_N_PER_GROUP, FEATURE_WIDTH, NormalizationStats, _finite, _number
+from .grid import FormatError, read_json
 
 __all__ = [
+    "MODES",
+    "CONFIG_RULES",
     "TrainConfig",
     "PHGModel",
     "init_model",
@@ -42,9 +45,27 @@ __all__ = [
 ]
 
 
+MODES = ("full", "vision_only", "pd_only")
+
+# The rule a TrainConfig field must meet beyond its type, as (rule, test of an
+# object holding the field); the CLI checks its same-named train flags with them.
+CONFIG_RULES = {
+    "epochs": (">= 1", lambda c: c.epochs >= 1),
+    "lr": ("> 0", lambda c: c.lr > 0),
+    "alpha": (">= 0", lambda c: c.alpha >= 0),
+    "batch_size": (">= 1", lambda c: c.batch_size >= 1),
+    "seed": (">= 0", lambda c: c.seed >= 0),
+    "n_per_group": (">= 1", lambda c: c.n_per_group >= 1),
+    "ratio": (">= 1", lambda c: c.ratio >= 1),
+    "mode": ("one of " + ", ".join(MODES), lambda c: c.mode in MODES),
+    "n_classes": (">= 2", lambda c: c.n_classes >= 2),
+}
+
+
 @dataclass
 class TrainConfig:
-    """Training hyper-parameters; defaults follow the reference protocol."""
+    """Training hyper-parameters; defaults follow the reference protocol. Each field
+    must have its annotated type, be finite if a float, and meet its CONFIG_RULES row."""
 
     epochs: int = 30
     lr: float = 1e-4
@@ -54,7 +75,7 @@ class TrainConfig:
     n_per_group: int = DEFAULT_N_PER_GROUP
     ratio: int = 8
     share_encoder: bool = True  # False gives gate1 its own encoder (full mode only)
-    mode: str = "full"  # full | vision_only | pd_only
+    mode: str = "full"  # one of MODES
     m_dim: int = 64
     channels: tuple[int, int] = (16, 32)
     n_classes: int = 3
@@ -62,6 +83,16 @@ class TrainConfig:
     use_phg: InitVar[bool | None] = None
 
     def __post_init__(self, use_phg):
+        for f in fields(self):
+            v, kind = getattr(self, f.name), type(f.default)
+            typed = isinstance(v, (int, float) if kind is float else kind)  # a float may be an int
+            if not typed or isinstance(v, bool) != (kind is bool):
+                raise ValueError(f"{f.name} {v!r}: must be of type {kind.__name__}")
+            if kind is float and not _finite(v):
+                raise ValueError(f"{f.name} {v!r}: must be finite")
+        for name, (rule, ok) in CONFIG_RULES.items():
+            if not ok(self):
+                raise ValueError(f"{name} {getattr(self, name)!r}: must be {rule}")
         if use_phg is not None and use_phg != (self.mode != "vision_only"):
             raise ValueError(f"use_phg={use_phg} contradicts mode {self.mode!r}")
 
@@ -426,11 +457,9 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
     for c in range(k):
         positives = labels == c
         tp = int(((preds == c) & positives).sum())
-        fn = int(((preds != c) & positives).sum())
-        fp = int(((preds == c) & ~positives).sum())
         tn = int(((preds != c) & ~positives).sum())
-        sens.append(tp / (tp + fn))
-        specs.append(tn / (tn + fp))
+        sens.append(tp / int(positives.sum()))
+        specs.append(tn / int((~positives).sum()))
         aucs.append(_auc_ovr(probs[:, c], positives))
     return {
         "accuracy": acc,
@@ -465,49 +494,46 @@ def save_checkpoint(directory, model: PHGModel, config: TrainConfig, stats: Norm
 def load_checkpoint(directory):
     """Returns (model, config, stats) written by save_checkpoint.
 
-    Raises ValueError naming the file when the manifest is not a JSON object
-    of format 3 with "config" (TrainConfig's fields, building a model) and
-    "stats" (two numbers each for "mean" and "std"), or when the blob does not
-    hold exactly the values of the parameters the config builds.
+    Raises FormatError naming the file when the manifest is not a JSON object
+    of format 3 with "config" (TrainConfig's fields, meeting its rules) and
+    "stats" (two finite numbers each for "mean" and "std", std above 0), or
+    when the blob does not hold exactly the parameters the config builds.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     blob_path = os.path.join(directory, "params.bin")
-    with open(manifest_path) as f:
-        try:
-            manifest = json.load(f)
-        except ValueError as e:  # not JSON, or not text
-            raise ValueError(f"{manifest_path}: not JSON: {e}") from None
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
-        raise ValueError(f"{manifest_path}: not a JSON object")
+        raise FormatError(f"{manifest_path}: not a JSON object")
     if manifest.get("format") != 3:
-        raise ValueError(
+        raise FormatError(
             f"{manifest_path}: unsupported format {manifest.get('format')!r}; this version"
             " reads format 3, so retrain"
         )
     missing = {"config", "stats"} - manifest.keys()
     if missing:
-        raise ValueError(f"{manifest_path}: missing {', '.join(sorted(missing))}")
+        raise FormatError(f"{manifest_path}: missing {', '.join(sorted(missing))}")
     cfg, stats = manifest["config"], manifest["stats"]
     names = {f.name for f in fields(TrainConfig)}
     if not isinstance(cfg, dict) or cfg.keys() != names:
         got = sorted(cfg) if isinstance(cfg, dict) else type(cfg).__name__
-        raise ValueError(f"{manifest_path}: config must hold TrainConfig's fields, got {got}")
+        raise FormatError(f"{manifest_path}: config must hold TrainConfig's fields, got {got}")
     if not isinstance(stats, dict) or not all(
-        isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+        isinstance(v, list) and len(v) == 2 and all(_number(x) and _finite(x) for x in v)
         for v in (stats.get("mean"), stats.get("std"))
-    ):
-        raise ValueError(f"{manifest_path}: stats mean and std must each hold 2 numbers")
+    ) or min(stats["std"]) <= 0:
+        raise FormatError(f"{manifest_path}: stats mean and std must each hold 2 numbers,"
+                          " all finite, with std above 0")
     try:
         config = TrainConfig(**{**cfg, "channels": tuple(cfg["channels"])})
         params = init_model(config).params
     except (TypeError, ValueError) as e:
-        raise ValueError(f"{manifest_path}: config does not build a model: {e}") from None
+        raise FormatError(f"{manifest_path}: config does not build a model: {e}") from None
     order = sorted(params)
     sizes = [params[n].size for n in order]
     with open(blob_path, "rb") as f:
         data = f.read()
     if len(data) != 8 * sum(sizes):
-        raise ValueError(
+        raise FormatError(
             f"{blob_path}: holds {len(data)} bytes, the config builds {sum(sizes)} float64 values"
         )
     chunks = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])

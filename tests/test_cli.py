@@ -1,11 +1,14 @@
+import argparse
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
-from topogate.cli import main
+from topogate import model as modelmod
+from topogate.cli import _FLAG_RULES, build_parser, main
 from topogate.diagram import Diagram, read_diagram, write_diagram
 from topogate.grid import save_pgm
 
@@ -140,8 +143,9 @@ class TestGen:
                     "--out", str(tmp_path / "g")]) == 2
         assert "--size 16" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [("--n", "-2"), ("--n", "0"), ("--noise", "-5")],
-                             ids=["n-negative", "n-zero", "noise-negative"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "-2"), ("--n", "0"), ("--noise", "-5"), ("--seed", "-1"),
+    ], ids=["n-negative", "n-zero", "noise-negative", "seed-negative"])
     def test_bad_flag_value_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "g"  # the last --n given wins
         assert run(["gen", "--seed", "1", "--n", "3", "--out", str(out), flag, value]) == 2
@@ -164,9 +168,9 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", "0"), ("--batch-size", "0"), ("--ratio", "0"), ("--n-per-group", "-3"),
-        ("--lr", "0"), ("--lr", "-0.1"), ("--alpha", "-1"),
+        ("--lr", "0"), ("--lr", "-0.1"), ("--alpha", "-1"), ("--seed", "-1"),
     ], ids=["epochs-zero", "batch-size-zero", "ratio-zero", "n-per-group-negative",
-            "lr-zero", "lr-negative", "alpha-negative"])
+            "lr-zero", "lr-negative", "alpha-negative", "seed-negative"])
     def test_bad_flag_value_usage_error(self, tmp_path, dataset_dir, capsys, flag, value):
         run_dir = tmp_path / "run"
         assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), flag, value]) == 2
@@ -213,7 +217,8 @@ class TestTrainEval:
     @pytest.mark.parametrize("text,says", [
         ("file,label\nsample_00000.pgm,-1\n", "non-negative"),
         ("file,label\n", "no samples"),
-    ], ids=["negative", "empty"])
+        ("file,label\nsample_00000.pgm,0\nsample_00001.pgm,0\n", "fewer than two classes"),
+    ], ids=["negative", "empty", "one-class"])
     def test_label_set_rejected(self, tmp_path, dataset_dir, capsys, text, says):
         (dataset_dir / "labels.csv").write_text(text)
         assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
@@ -279,6 +284,49 @@ class TestTrainEval:
     def test_eval_missing_checkpoint(self, dataset_dir, tmp_path):
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint",
                     str(tmp_path / "nothing")]) == 1
+
+
+@pytest.fixture(scope="module")
+def full_checkpoint(tmp_path_factory):
+    """A dataset and the full-mode checkpoint trained on it, shared read-only."""
+    root = tmp_path_factory.mktemp("full")
+    assert run(["gen", "--seed", "1", "--n", "6", "--size", "32", "--out", str(root / "data")]) == 0
+    assert run(["train", "--data", str(root / "data"), "--out", str(root / "run"),
+                "--epochs", "1", "--batch-size", "3"]) == 0
+    return root / "data", root / "run"
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("config", "ratio", 0), ("config", "n_per_group", -3), ("config", "n_per_group", 1.5),
+    ("config", "mode", "bogus"), ("config", "share_encoder", "no"), ("config", "lr", math.nan),
+    ("config", "seed", -1), ("stats", "mean", [math.nan, 0.0]), ("stats", "std", [0, -1]),
+], ids=["ratio-0", "n-per-group-negative", "n-per-group-float", "mode-bogus",
+        "share-encoder-text", "lr-nan", "seed-negative", "mean-nan", "std-not-positive"])
+def test_eval_malformed_manifest_exits_1(tmp_path, full_checkpoint, capsys, section, key, value):
+    """Each edit of one manifest value exits 1 naming the manifest, with no traceback."""
+    data, run_dir = full_checkpoint
+    shutil.copytree(run_dir, tmp_path / "run")
+    path = tmp_path / "run" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[section][key] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["eval", "--data", str(data), "--checkpoint", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_every_numeric_flag_has_a_rule():
+    """main range-checks every int or float flag, except those that take any
+    finite value; the train flags are checked with TrainConfig's own rows."""
+    any_finite = {"--min-pers", "--finitize", "--t-min"}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command, parser in commands.choices.items():
+        for action in parser._actions:
+            if action.type in (int, float):
+                assert (action.dest in _FLAG_RULES) != (action.option_strings[0] in any_finite), (
+                    command, action.option_strings)
+            if command == "train" and action.dest in _FLAG_RULES:
+                assert _FLAG_RULES[action.dest] is modelmod.CONFIG_RULES[action.dest], action.dest
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -353,3 +401,10 @@ class TestPlot:
 
     def test_no_source_is_usage_error(self, tmp_path):
         assert run(["plot", "--out", str(tmp_path / "x.svg")]) == 2
+
+    def test_two_sources_is_usage_error(self, tmp_path, capsys):
+        d, h, out = tmp_path / "d.json", tmp_path / "h.json", tmp_path / "x.svg"
+        write_diagram(d, Diagram.from_points([(10, 200, 1)]))
+        h.write_text(json.dumps([{"epoch": 0, "train_loss": 1.0}]))
+        assert run(["plot", "--diagram", str(d), "--history", str(h), "--out", str(out)]) == 2
+        assert "exactly one of" in capsys.readouterr().err and not out.exists()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from topogate.diagram import (
     Diagram,
-    DiagramFormatError,
     NormalizationStats,
     filter_persistence,
     finitize,
@@ -18,7 +17,7 @@ from topogate.diagram import (
     to_point_features,
     write_diagram,
 )
-from topogate.grid import SyntheticSample
+from topogate.grid import FormatError, SyntheticSample
 from topogate.pipeline import build_feature_dataset
 
 
@@ -71,7 +70,7 @@ class TestEssential:
         path = tmp_path / "d.json"
         path.write_text(json.dumps({"points": [{"birth": 1, "death": death, "dim": 0,
                                                  "essential": flag}]}))
-        with pytest.raises(DiagramFormatError, match="essential flag inconsistent"):
+        with pytest.raises(FormatError, match="essential flag inconsistent"):
             read_diagram(path)
 
 
@@ -223,19 +222,25 @@ class TestSerialization:
     def test_death_before_birth_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": [{"birth": 5, "death": 1, "dim": 0, "essential": False}]}))
-        with pytest.raises(DiagramFormatError, match="death"):
+        with pytest.raises(FormatError, match="death"):
             read_diagram(path)
 
     def test_nan_rejected(self, tmp_path):
         path = tmp_path / "nan.json"
         path.write_text('{"points": [{"birth": NaN, "death": 2, "dim": 0, "essential": false}]}')
-        with pytest.raises(DiagramFormatError):
+        with pytest.raises(FormatError):
             read_diagram(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
-        with pytest.raises(DiagramFormatError):
+        with pytest.raises(FormatError):
+            read_diagram(path)
+
+    def test_not_text_rejected(self, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_bytes(b"\x9a\xff\x00")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: not JSON"):
             read_diagram(path)
 
     @pytest.mark.parametrize("payload,says", [
@@ -255,5 +260,5 @@ class TestSerialization:
     def test_malformed_point_named(self, tmp_path, payload, says):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(DiagramFormatError, match=f"^{re.escape(str(path))}: .*{says}"):
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*{says}"):
             read_diagram(path)

@@ -44,6 +44,14 @@ class TestLoadPgm:
         with pytest.raises(FormatError, match="maxval"):
             load_pgm(p)
 
+    @pytest.mark.parametrize("magic,raster", [("P2", b"200 250\n"), ("P5", bytes([200, 250]))],
+                             ids=["P2", "P5"])
+    def test_pixel_above_maxval_rejected(self, tmp_path, magic, raster):
+        p = tmp_path / "m.pgm"
+        p.write_bytes(magic.encode() + b"\n2 1\n100\n" + raster)
+        with pytest.raises(FormatError, match="out of range"):
+            load_pgm(p)
+
     def test_truncated_payload(self, tmp_path):
         p = tmp_path / "d.pgm"
         p.write_bytes(b"P5\n4 4\n255\n\x00\x01")

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from dataclasses import asdict, fields
 
@@ -26,6 +27,11 @@ from topogate.model import (
     train,
 )
 from topogate.pipeline import build_feature_dataset
+
+
+# one config value each that TrainConfig refuses: a rule, a type or a NaN
+BAD_CONFIG_VALUES = [("ratio", 0), ("n_per_group", -3), ("n_per_group", 1.5), ("mode", "bogus"),
+                     ("share_encoder", "no"), ("lr", math.nan), ("seed", -1), ("n_classes", 1)]
 
 
 def small_config(**kw):
@@ -212,6 +218,18 @@ class TestModes:
             assert config == TrainConfig(mode=mode) and "use_phg" not in asdict(config)
             with pytest.raises(ValueError, match="contradicts mode"):
                 TrainConfig(mode=mode, use_phg=mode == "vision_only")
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("field,value", BAD_CONFIG_VALUES + [
+        ("epochs", True), ("alpha", math.inf), ("channels", [4, 4]),
+    ], ids=lambda v: str(v))
+    def test_bad_value_names_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            small_config(**{field: value})
+
+    def test_float_field_takes_an_int(self):
+        assert small_config(lr=1, alpha=0).lr == 1
 
 
 class TestTotalLoss:
@@ -439,8 +457,13 @@ class TestCheckpoint:
         (lambda m: json.dumps({**m, "config": {**m["config"], "use_phg": True}}), "TrainConfig"),
         (lambda m: json.dumps({**m, "stats": {**m["stats"], "mean": [0.0]}}), "2 numbers"),
         (lambda m: json.dumps({**m, "stats": {**m["stats"], "std": [1.0, "x"]}}), "2 numbers"),
+        (lambda m: json.dumps({**m, "stats": {**m["stats"], "mean": [math.nan, 0.0]}}), "finite"),
+        (lambda m: json.dumps({**m, "stats": {**m["stats"], "std": [0, -1]}}), "std above 0"),
+        *[(lambda m, k=k, v=v: json.dumps({**m, "config": {**m["config"], k: v}}),
+           f"config does not build a model: {k} ") for k, v in BAD_CONFIG_VALUES],
     ], ids=["not-json", "array", "no-config", "no-stats", "extra-config-key",
-            "use-phg-config-key", "short-mean", "text-std"])
+            "use-phg-config-key", "short-mean", "text-std", "nan-mean", "std-not-positive",
+            *[f"config-{k}-{v}" for k, v in BAD_CONFIG_VALUES]])
     def test_malformed_manifest_rejected(self, tmp_path, edit, says):
         cfg = small_config()
         save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())
