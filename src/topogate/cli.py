@@ -140,9 +140,12 @@ def _load_dataset(directory: str, mode: str):
     """The samples labels.csv lists; the vision stub needs sides divisible by
     4, since both of its max-pools halve the image."""
     path = os.path.join(directory, "labels.csv")
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        rows = list(reader)
+    try:
+        with open(path, newline="") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+    except UnicodeDecodeError:
+        raise gridmod.FormatError(f"{path}: not UTF-8 text") from None
     missing = {"file", "label"} - set(reader.fieldnames or ())
     if missing:
         raise gridmod.FormatError(f"{path}: missing column(s) {', '.join(sorted(missing))}")
@@ -299,8 +302,11 @@ def _plot_heatmap_svg(values: np.ndarray, path: str, cell: int = 12) -> None:
 
 def _read_curve_csv(path: str):
     """Header and numeric rows of a `vectorize` CSV; FormatError naming the file."""
-    with open(path, newline="") as f:
-        header, *rows = list(csv.reader(f)) or [[]]
+    try:
+        with open(path, newline="") as f:
+            header, *rows = list(csv.reader(f)) or [[]]
+    except UnicodeDecodeError:
+        raise gridmod.FormatError(f"{path}: not UTF-8 text") from None
     try:
         data = [[float(v) for v in row] for row in rows]
     except ValueError:

@@ -449,6 +449,8 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
         probs[i] = nn.softmax(logits)
         labels[i] = label
     present = np.unique(labels)
+    if present[-1] >= k:
+        raise ValueError(f"labels {present[present >= k].tolist()} exceed the model's {k} classes")
     if len(present) < k:
         raise ValueError(f"classes missing from evaluation split: {set(range(k)) - set(present)}")
     preds = probs.argmax(axis=1)

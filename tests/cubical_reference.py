@@ -1,26 +1,127 @@
 """Parity references for ``topogate.cubical.compute_persistence``.
 
-``reference_persistence`` is the per-cell Z/2 boundary reduction: each cell's
-boundary is built in its own Python call (``edge_endpoints``, ``square_edges``),
-the way the reduction worked before its columns were built with numpy. The
-arithmetic is the same, so the two must agree bit for bit.
-``pair_h0_union_find`` pairs H0 by a different algorithm, union-find with the
-elder rule, and must give the same H0 pairs.
-``validate_filtration`` checks the order ``build_filtration`` produces, which
-the reduction takes on trust.
+``cell_filtration`` builds the cell-level V-construction of the grid that
+``build_filtration`` checks: every cell's value, sorted by (value, cell id).
+``validate_filtration`` checks that order.
+``reference_persistence`` pairs those cells by the per-cell Z/2 boundary
+reduction with clearing, each cell's boundary built in its own Python call
+(``edge_endpoints``, ``square_edges``). It picks the same values as the
+union-find pairing in ``topogate.cubical``, so the two must agree bit for bit.
+``pair_h0_union_find`` pairs H0 on the cells by union-find with the elder rule
+and must give the reduction's H0 pairs.
+``superlevel_h0_8adjacent`` is the duality that H1 is computed by, spelled out
+pixel by pixel.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from topogate.cubical import CubicalFiltration, _edge_faces, _square_faces, _symdiff
+from topogate.cubical import CubicalFiltration, build_filtration
 from topogate.diagram import Diagram
+
+
+@dataclass(frozen=True)
+class CellFiltration:
+    """Cells of the V-construction sorted by (filtration value, dim, anchor).
+
+    Cell ids are laid out as vertices, then horizontal edges, then vertical
+    edges, then squares, each block in row-major anchor order; sorting by
+    (value, id) therefore breaks value ties by dimension first and then by
+    anchor, deterministically.
+    """
+
+    height: int
+    width: int
+    values: np.ndarray  # per cell id, float64
+    order: np.ndarray  # sorted position -> cell id
+    pos: np.ndarray  # cell id -> sorted position
+
+    @property
+    def n_vertices(self) -> int:
+        return self.height * self.width
+
+    @property
+    def n_hedges(self) -> int:
+        return self.height * (self.width - 1)
+
+    @property
+    def n_vedges(self) -> int:
+        return (self.height - 1) * self.width
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.values)
+
+
+def cell_filtration(grid) -> CellFiltration:
+    """The sorted sublevel V-construction of the grid ``build_filtration``
+    checks (so -0.0 is read as +0.0 here too); a cell's value is the max over
+    its vertices."""
+    grid = build_filtration(grid).grid
+    h, w = grid.shape
+    vvals = grid.ravel()
+    hvals = np.maximum(grid[:, :-1], grid[:, 1:]).ravel()
+    uvals = np.maximum(grid[:-1, :], grid[1:, :]).ravel()
+    svals = np.maximum(
+        np.maximum(grid[:-1, :-1], grid[:-1, 1:]),
+        np.maximum(grid[1:, :-1], grid[1:, 1:]),
+    ).ravel()
+    values = np.concatenate([vvals, hvals, uvals, svals])
+    order = np.lexsort((np.arange(len(values)), values)).astype(np.int64)
+    pos = np.empty(len(values), np.int64)
+    pos[order] = np.arange(len(values))
+    return CellFiltration(h, w, values, order, pos)
+
+
+def _edge_faces(filt: CellFiltration, eids: np.ndarray) -> np.ndarray:
+    """Vertex ids of edge cells, one (a, b) row per edge."""
+    w = filt.width
+    k = eids - filt.n_vertices
+    horizontal = k < filt.n_hedges
+    # horizontal k = r * (w - 1) + c joins (r, c) and (r, c + 1);
+    # vertical k - nh = r * w + c joins (r, c) and (r + 1, c)
+    a = np.where(horizontal, k + k // max(w - 1, 1), k - filt.n_hedges)
+    return np.stack([a, a + np.where(horizontal, 1, w)], axis=1)
+
+
+def _square_faces(filt: CellFiltration, sids: np.ndarray) -> np.ndarray:
+    """Edge ids bounding square cells, one (top, bottom, left, right) row per
+    square; a square is anchored at its top-left pixel."""
+    w = filt.width
+    nv, nh = filt.n_vertices, filt.n_hedges
+    k = sids - (nv + nh + filt.n_vedges)  # k = r * (w - 1) + c
+    top = nv + k
+    left = nv + nh + k + k // max(w - 1, 1)
+    return np.stack([top, top + (w - 1), left, left + 1], axis=1)
+
+
+def _symdiff(a: list[int], b: list[int]) -> list[int]:
+    """Symmetric difference of two ascending int lists (Z/2 column addition)."""
+    out: list[int] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x < y:
+            out.append(x)
+            i += 1
+        elif y < x:
+            out.append(y)
+            j += 1
+        else:
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return out
 
 
 class FiltrationError(RuntimeError):
     """Internal-invariant violation: unsorted or face-violating filtration."""
 
 
-def validate_filtration(filt: CubicalFiltration) -> None:
+def validate_filtration(filt: CellFiltration) -> None:
     """Raise FiltrationError unless the order is sorted by value and every
     cell comes after its faces."""
     sorted_vals = filt.values[filt.order]
@@ -37,7 +138,7 @@ def validate_filtration(filt: CubicalFiltration) -> None:
         raise FiltrationError("square precedes one of its edges")
 
 
-def edge_endpoints(filt: CubicalFiltration, cid: int) -> tuple[int, int]:
+def edge_endpoints(filt: CellFiltration, cid: int) -> tuple[int, int]:
     """Vertex ids of an edge cell."""
     w = filt.width
     nv, nh = filt.n_vertices, filt.n_hedges
@@ -50,7 +151,7 @@ def edge_endpoints(filt: CubicalFiltration, cid: int) -> tuple[int, int]:
     return a, a + w
 
 
-def square_edges(filt: CubicalFiltration, cid: int) -> tuple[int, int, int, int]:
+def square_edges(filt: CellFiltration, cid: int) -> tuple[int, int, int, int]:
     """Edge ids bounding a square cell anchored at its top-left pixel."""
     w = filt.width
     nv, nh = filt.n_vertices, filt.n_hedges
@@ -63,7 +164,7 @@ def square_edges(filt: CubicalFiltration, cid: int) -> tuple[int, int, int, int]
     return top, bottom, left, right
 
 
-def reference_persistence(filt: CubicalFiltration) -> Diagram:
+def reference_persistence(filt: CellFiltration) -> Diagram:
     """Persistence diagram (H0 and H1) by per-cell column reduction."""
     pos = filt.pos
     order = filt.order
@@ -138,11 +239,13 @@ def reference_persistence(filt: CubicalFiltration) -> Diagram:
 
 
 def pair_h0_union_find(filt: CubicalFiltration) -> Diagram:
-    """H0 pairs via union-find with the elder rule (reduction-equivalent).
+    """H0 pairs via union-find with the elder rule over the cells of
+    ``filt.grid`` (reduction-equivalent).
 
     On each merging edge, the component whose birth vertex is later in the
     filtration order (larger birth value, ties by larger vertex id) dies.
     """
+    filt = cell_filtration(filt.grid)
     pos = filt.pos
     order = filt.order
     values = filt.values

@@ -225,6 +225,24 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "labels.csv" in err and says in err
 
+    def test_labels_csv_not_text(self, tmp_path, dataset_dir, capsys):
+        path = dataset_dir / "labels.csv"
+        path.write_bytes(np.random.default_rng(0).bytes(200))
+        assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
+        assert f"error: {path}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_eval_labels_beyond_model_classes(self, tmp_path, dataset_dir, capsys):
+        two = tmp_path / "two"
+        shutil.copytree(dataset_dir, two)
+        rows = (two / "labels.csv").read_text().splitlines()
+        (two / "labels.csv").write_text("\n".join(r for r in rows if not r.endswith(",2")) + "\n")
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(two), "--out", str(run_dir), "--mode", "pd_only",
+                    "--epochs", "1", "--batch-size", "2", "--n-per-group", "8"]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
+        assert f"error: {dataset_dir}: labels [2] exceed the model's 2 classes" in capsys.readouterr().err
+
     def test_labels_with_a_gap_train(self, tmp_path, dataset_dir):
         rows = (dataset_dir / "labels.csv").read_text().splitlines()
         kept = [rows[0]] + [r.replace(",1", ",2") for r in rows[1:] if not r.endswith(",2")]
@@ -398,6 +416,12 @@ class TestPlot:
         out = tmp_path / "x.svg"
         assert run(["plot", flag, str(src), "--out", str(out)]) == 1
         assert f"error: {src}: " in capsys.readouterr().err and not out.exists()
+
+    def test_curve_not_text(self, tmp_path, capsys):
+        src = tmp_path / "curve.csv"
+        src.write_bytes(np.random.default_rng(0).bytes(200))
+        assert run(["plot", "--curve", str(src), "--out", str(tmp_path / "x.svg")]) == 1
+        assert f"error: {src}: not UTF-8 text" in capsys.readouterr().err
 
     def test_no_source_is_usage_error(self, tmp_path):
         assert run(["plot", "--out", str(tmp_path / "x.svg")]) == 2

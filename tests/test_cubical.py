@@ -8,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import alive_counts
 from cubical_reference import (
+    CellFiltration,
     FiltrationError,
+    cell_filtration,
     edge_endpoints,
     pair_h0_union_find,
     reference_persistence,
@@ -17,7 +19,6 @@ from cubical_reference import (
 )
 from grid_reference import betti_oracle, sublevel_mask
 from topogate.cubical import (
-    CubicalFiltration,
     build_filtration,
     compute_persistence,
     grid_persistence,
@@ -38,24 +39,28 @@ float_grids = arrays(
 
 class TestBuildFiltration:
     def test_1x2_max_of_faces(self):
-        f = build_filtration(np.array([[3, 5]]))
+        f = cell_filtration(np.array([[3, 5]]))
         assert f.n_cells == 3
         # edge value = max of endpoints
         assert f.values[2] == 5.0
         assert list(f.values[f.order]) == [3.0, 5.0, 5.0]
 
     def test_square_max_of_corners(self):
-        f = build_filtration(np.array([[1, 2], [3, 4]]))
+        f = cell_filtration(np.array([[1, 2], [3, 4]]))
         assert f.values[-1] == 4.0
 
     def test_constant_grid(self):
-        f = build_filtration(np.full((3, 3), 7))
+        f = cell_filtration(np.full((3, 3), 7))
         assert np.all(f.values == 7.0)
 
     def test_cell_count(self):
         h, w = 4, 5
         f = build_filtration(np.zeros((h, w)))
         assert f.n_cells == h * w + h * (w - 1) + (h - 1) * w + (h - 1) * (w - 1)
+
+    def test_negative_zero_read_as_positive(self):
+        f = build_filtration(np.array([[-0.0, 1.0], [0.0, -0.0]]))
+        assert not np.signbit(f.grid).any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_pixel_rejected(self, bad):
@@ -66,7 +71,7 @@ class TestBuildFiltration:
             grid_persistence(g)
 
     def test_faces_precede_cells(self):
-        f = build_filtration(np.arange(12).reshape(3, 4))
+        f = cell_filtration(np.arange(12).reshape(3, 4))
         for eid in range(f.n_vertices, f.n_vertices + f.n_hedges + f.n_vedges):
             a, b = edge_endpoints(f, eid)
             assert f.pos[a] < f.pos[eid] and f.pos[b] < f.pos[eid]
@@ -88,25 +93,25 @@ class TestComputePersistence:
         assert d.as_multiset() == [(1.0, None, 0, True), (1.0, 9.0, 1, False)]
 
     def test_face_violation_detected(self):
-        f = build_filtration(np.array([[0, 2, 1]]))
+        f = cell_filtration(np.array([[0, 2, 1]]))
         bad_pos = f.pos.copy()
         bad_pos[[0, f.n_vertices]] = bad_pos[[f.n_vertices, 0]]
         bad_order = np.empty_like(f.order)
         bad_order[bad_pos] = np.arange(f.n_cells)
-        bad = CubicalFiltration(f.height, f.width, f.values, bad_order, bad_pos)
+        bad = CellFiltration(f.height, f.width, f.values, bad_order, bad_pos)
         with pytest.raises(FiltrationError):
             validate_filtration(bad)
 
     @pytest.mark.parametrize("cell", ["edge", "square"])
     def test_face_order_violation_detected(self, cell):
         # constant grid: any order is sorted by value, so only face order is wrong
-        f = build_filtration(np.zeros((2, 2)))
+        f = cell_filtration(np.zeros((2, 2)))
         face, cid = (0, f.n_vertices) if cell == "edge" else (f.n_vertices, f.n_cells - 1)
         bad_pos = f.pos.copy()
         bad_pos[[face, cid]] = bad_pos[[cid, face]]
         bad_order = np.empty_like(f.order)
         bad_order[bad_pos] = np.arange(f.n_cells)
-        bad = CubicalFiltration(f.height, f.width, f.values, bad_order, bad_pos)
+        bad = CellFiltration(f.height, f.width, f.values, bad_order, bad_pos)
         with pytest.raises(FiltrationError, match=f"{cell} precedes"):
             validate_filtration(bad)
 
@@ -120,9 +125,8 @@ class TestComputePersistence:
     @given(small_grids)
     @settings(max_examples=150, deadline=None)
     def test_oracle_equivalence(self, g):
-        f = build_filtration(g)
-        validate_filtration(f)
-        d = compute_persistence(f)
+        validate_filtration(cell_filtration(g))
+        d = compute_persistence(build_filtration(g))
         for tau in np.unique(g):
             assert alive_counts(d, tau) == betti_oracle(sublevel_mask(g, tau))
 
@@ -160,8 +164,8 @@ class TestUnionFindH0:
     @given(small_grids)
     @settings(max_examples=150, deadline=None)
     def test_matches_reduction(self, g):
+        validate_filtration(cell_filtration(g))
         f = build_filtration(g)
-        validate_filtration(f)
         uf = pair_h0_union_find(f).as_multiset()
         red = [p for p in compute_persistence(f).as_multiset() if p[2] == 0]
         assert uf == red
@@ -199,14 +203,14 @@ def assert_bitwise_equal(a, b):
 
 
 class TestReferenceParity:
-    """The reduction of numpy-built columns equals the per-cell reference
-    reduction bit for bit: same births, deaths (NaN where essential) and dims."""
+    """The union-find pairing equals the per-cell reference reduction bit for
+    bit: same births, deaths (NaN where essential) and dims."""
 
     @staticmethod
     def check(g):
-        f = build_filtration(g)
-        validate_filtration(f)
-        assert_bitwise_equal(compute_persistence(f), reference_persistence(f))
+        cells = cell_filtration(g)
+        validate_filtration(cells)
+        assert_bitwise_equal(grid_persistence(g), reference_persistence(cells))
 
     def test_exhaustive_3x3(self):
         for values in itertools.product(range(3), repeat=9):
@@ -222,6 +226,13 @@ class TestReferenceParity:
         for _ in range(100):
             h, w = rng.integers(1, 10, size=2)
             self.check(rng.random((h, w)) * 10 - 5)
+
+    def test_signed_zero_grids(self, rng):
+        # ties between -0.0 and +0.0 would leave the sign of a zero to the
+        # pairing order if build_filtration kept -0.0
+        for _ in range(2000):
+            h, w = rng.integers(1, 7, size=2)
+            self.check(rng.choice([0.0, -0.0, 1.0, -1.0, 2.5], size=(h, w)))
 
     @pytest.mark.parametrize("size,n", [(64, 3), (224, 1)])
     def test_shape_images(self, size, n):
