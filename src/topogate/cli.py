@@ -78,7 +78,7 @@ def cmd_vectorize(args) -> int:
         header = [f"{name}_col{c}" for c in range(spec.cols)]
         rows = vectorize.persistence_image(diag, spec)
     else:  # a curve: one row per grid value t
-        t_grid = vectorize.default_t_grid(args.samples, args.t_min, args.t_max)
+        t_grid = np.linspace(args.t_min, args.t_max, args.samples)
         if args.method == "betti":
             names, cols = ["betti"], [vectorize.betti_curve(diag, t_grid)]
         elif args.method == "landscape":
@@ -143,10 +143,10 @@ def _load_dataset(directory: str, mode: str):
     try:
         with open(path, newline="") as f:
             reader = csv.DictReader(f)
-            rows = list(reader)
+            columns, rows = reader.fieldnames or (), list(reader)
     except UnicodeDecodeError:
         raise gridmod.FormatError(f"{path}: not UTF-8 text") from None
-    missing = {"file", "label"} - set(reader.fieldnames or ())
+    missing = {"file", "label"} - set(columns)
     if missing:
         raise gridmod.FormatError(f"{path}: missing column(s) {', '.join(sorted(missing))}")
     try:
@@ -155,6 +155,8 @@ def _load_dataset(directory: str, mode: str):
         raise gridmod.FormatError(f"{path}: every label must be an integer") from None
     if not labels:
         raise gridmod.FormatError(f"{path}: no samples")
+    if not all(r["file"] and "\0" not in r["file"] for r in rows):
+        raise gridmod.FormatError(f"{path}: every file must be a name without NUL bytes")
     if min(labels) < 0:
         raise gridmod.FormatError(f"{path}: labels must be non-negative")
     if len(set(labels)) < 2:
@@ -204,6 +206,9 @@ def cmd_eval(args) -> int:
     )
     try:
         metrics = modelmod.evaluate(model, dataset, config.mode)
+    except FloatingPointError as e:  # finite parameters can still overflow float64
+        print(f"error: {args.checkpoint}: {e}", file=sys.stderr)
+        return 1
     except ValueError as e:  # the split cannot be scored, e.g. a class is missing
         print(f"error: {args.data}: {e}", file=sys.stderr)
         return 1
@@ -326,10 +331,11 @@ def _read_history(path: str):
     history = gridmod.read_json(path)
     fields = ("epoch", "train_loss")
     if not isinstance(history, list) or not history or not all(
-        isinstance(h, dict) and all(dg._number(h.get(k)) for k in fields) for h in history
+        isinstance(h, dict) and all(dg._number(h.get(k)) and dg._finite(h[k]) for k in fields)
+        for h in history
     ):
         raise gridmod.FormatError(
-            f"{path}: must be a non-empty list of records with numeric epoch and train_loss"
+            f"{path}: must be a non-empty list of records with finite numeric epoch and train_loss"
         )
     epochs = np.array([h["epoch"] for h in history], dtype=np.float64)
     return epochs, np.array([h["train_loss"] for h in history])

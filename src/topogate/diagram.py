@@ -52,22 +52,6 @@ class Diagram:
     def essential(self) -> np.ndarray:
         return np.isnan(self.deaths)
 
-    @classmethod
-    def empty(cls) -> "Diagram":
-        z = np.zeros(0)
-        return cls(z, z, z)
-
-    @classmethod
-    def from_points(cls, points) -> "Diagram":
-        """Build from an iterable of (birth, death, dim) triples; a death of
-        math.inf or NaN marks an essential point."""
-        births, deaths, dims = [], [], []
-        for b, d, k in points:
-            births.append(float(b))
-            deaths.append(math.nan if d == math.inf else float(d))
-            dims.append(int(k))
-        return cls(np.array(births), np.array(deaths), np.array(dims))
-
     def __len__(self) -> int:
         return len(self.births)
 
@@ -82,14 +66,6 @@ class Diagram:
 
     def select(self, dim: int) -> "Diagram":
         return self._take(self.dims == dim)
-
-    def as_multiset(self) -> list[tuple]:
-        """Sorted point list suitable for multiset equality checks."""
-        d = self.canonical()
-        return [
-            (float(b), None if e else float(dd), int(k), bool(e))
-            for b, dd, k, e in zip(d.births, d.deaths, d.dims, d.essential)
-        ]
 
 
 @dataclass(frozen=True)

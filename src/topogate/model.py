@@ -34,7 +34,6 @@ __all__ = [
     "encode_pd_backward",
     "gate_forward",
     "gate_backward",
-    "refine",
     "forward",
     "backward",
     "total_loss",
@@ -112,14 +111,6 @@ class PHGModel:
     def n_classes(self) -> int:
         head = "vhead.b" if "vhead.b" in self.params else "thead.l2.b"
         return self.params[head].shape[0]
-
-    @property
-    def m_dim(self) -> int:
-        return self.params["thead.l1.w"].shape[1]
-
-    @property
-    def channels(self) -> tuple[int, int]:
-        return self.params["conv1.b"].shape[0], self.params["conv2.b"].shape[0]
 
     @property
     def share_encoder(self) -> bool:
@@ -214,20 +205,18 @@ def _mlp_backward(params: dict, prefixes, cache, dz: np.ndarray):
 
 
 def encode_pd(features: np.ndarray, params: dict, prefix: str = "enc"):
-    """Rowwise MLP (5 -> 64 -> 128 -> M) followed by a masked set max-pool.
+    """Rowwise MLP (5 -> 64 -> 128 -> M) over the present rows, then a set max-pool.
 
-    The presence column (index 4) masks padded rows out of the pool; an
-    all-padding input yields the zero vector. Exactly permutation-invariant
-    by construction (the pool tie-break is deterministic).
+    The presence column (index 4) keeps padded rows out of the MLP and the
+    pool; an all-padding input yields the zero vector. Exactly
+    permutation-invariant by construction (the pool tie-break is deterministic).
     Returns (t, cache).
     """
     if features.shape[1] != FEATURE_WIDTH:
         raise ValueError(f"expected {FEATURE_WIDTH} features, got {features.shape[1]}")
-    # padded rows are masked out of the pool and receive no gradient, so the
-    # rowwise MLP only needs to run on the present rows (identical output)
     rows = np.nonzero(features[:, 4] > 0.5)[0]
     z, mlp_cache = _mlp_forward(params, _encoder_layers(prefix), features[rows])
-    t, argmax = nn.set_max_pool_forward(z, np.ones(len(rows)))
+    t, argmax = nn.set_max_pool_forward(z)
     return t, (mlp_cache, argmax)
 
 
@@ -252,15 +241,6 @@ def gate_backward(cache, params: dict, dg: np.ndarray, prefix: str):
     mlp_cache, g = cache
     dze = nn.sigmoid_backward(g, dg)
     return _mlp_backward(params, _gate_layers(prefix), mlp_cache, dze)
-
-
-def refine(feature_map: np.ndarray, gate_vec: np.ndarray) -> np.ndarray:
-    """Broadcast the channel gate along the spatial dimensions: F * g."""
-    if feature_map.shape[-1] != gate_vec.shape[0]:
-        raise ValueError(
-            f"channel mismatch: {feature_map.shape[-1]} vs {gate_vec.shape[0]}"
-        )
-    return feature_map * gate_vec
 
 
 # ----------------------------------------------------------- forward, backward
@@ -290,13 +270,12 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray):
         for i, n in enumerate((1, 2)):
             y, patches = nn.conv3x3_forward(h, p[f"conv{n}.w"], p[f"conv{n}.b"])
             a = nn.relu_forward(y)
+            g = None
             if ts:
                 g, cache[f"gate_cache{i}"] = gate_forward(ts[i], p, f"gate{i}")
-                ag = refine(a, g)
-            else:
-                g, ag = None, a
-            h, arg = nn.maxpool2x2_forward(ag)
-            cache.update({f"y{n}": y, f"a{n}": a, f"g{n}": g, f"a{n}g": ag,
+            # the channel gate broadcasts along both spatial axes
+            h, arg = nn.maxpool2x2_forward(a if g is None else a * g)
+            cache.update({f"y{n}": y, f"a{n}": a, f"g{n}": g,
                           f"patches{n}": patches, f"arg{n}": arg, f"p{n}": h})
         cache["pooled"] = nn.global_avg_pool_forward(h)
         logits_v = nn.linear_forward(cache["pooled"], p["vhead.w"], p["vhead.b"])
@@ -315,7 +294,7 @@ def backward(model: PHGModel, cache: dict, dlogits_v, dlogits_t) -> dict:
         )
         dh = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
         for i, n in ((1, 2), (0, 1)):
-            dag = nn.maxpool2x2_backward(cache[f"a{n}g"].shape, cache[f"arg{n}"], dh)
+            dag = nn.maxpool2x2_backward(cache[f"a{n}"].shape, cache[f"arg{n}"], dh)
             if cache[f"g{n}"] is not None:
                 dg = (dag * cache[f"a{n}"]).sum(axis=(0, 1))
                 dt, gate_grads = gate_backward(cache[f"gate_cache{i}"], p, dg, f"gate{i}")
@@ -436,6 +415,7 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
     """Accuracy plus one-vs-rest AUC/sensitivity/specificity class averages.
 
     The vision logits are scored, or the topological ones in `pd_only` mode.
+    Raises FloatingPointError when a sample's logits are not finite.
     """
     if not dataset:
         raise ValueError("empty evaluation dataset")
@@ -445,7 +425,10 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
     for i, (image, features, label) in enumerate(dataset):
         # indexing drops each forward's cache before the next forward runs
         img = np.asarray(image, dtype=np.float64) / 255.0
-        logits = forward(model, img, features)[1 if mode == "pd_only" else 0]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite logits raise below
+            logits = forward(model, img, features)[1 if mode == "pd_only" else 0]
+        if not np.isfinite(logits).all():
+            raise FloatingPointError(f"the model's logits for sample {i} are not finite")
         probs[i] = nn.softmax(logits)
         labels[i] = label
     present = np.unique(labels)
@@ -499,7 +482,8 @@ def load_checkpoint(directory):
     Raises FormatError naming the file when the manifest is not a JSON object
     of format 3 with "config" (TrainConfig's fields, meeting its rules) and
     "stats" (two finite numbers each for "mean" and "std", std above 0), or
-    when the blob does not hold exactly the parameters the config builds.
+    when the blob does not hold exactly the parameters the config builds, all
+    of them finite.
     """
     manifest_path = os.path.join(directory, "manifest.json")
     blob_path = os.path.join(directory, "params.bin")
@@ -538,7 +522,10 @@ def load_checkpoint(directory):
         raise FormatError(
             f"{blob_path}: holds {len(data)} bytes, the config builds {sum(sizes)} float64 values"
         )
-    chunks = np.split(np.frombuffer(data, dtype="<f8"), np.cumsum(sizes)[:-1])
+    values = np.frombuffer(data, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise FormatError(f"{blob_path}: holds a NaN or infinite parameter")
+    chunks = np.split(values, np.cumsum(sizes)[:-1])
     for n, c in zip(order, chunks):
         params[n] = c.reshape(params[n].shape).copy()
     stats = NormalizationStats(np.array(stats["mean"]), np.array(stats["std"]))

@@ -81,18 +81,15 @@ def sigmoid_backward(y, dy):
     return dy * y * (1.0 - y)
 
 
-def set_max_pool_forward(points: np.ndarray, presence: np.ndarray):
-    """Per-feature max over rows with presence 1 (ties: lowest row index).
+def set_max_pool_forward(points: np.ndarray):
+    """Per-feature max over the rows of points (n, f); ties: lowest row index.
 
-    points: (n, f); presence: (n,) in {0, 1}. All-padding input yields a zero
-    vector with argmax indices of -1.
+    Zero rows yield a zero vector with argmax indices of -1.
     """
-    mask = presence > 0.5
-    if not mask.any():
+    if not len(points):
         return np.zeros(points.shape[1]), np.full(points.shape[1], -1, dtype=np.int64)
-    masked = np.where(mask[:, None], points, -np.inf)
-    arg = masked.argmax(axis=0)
-    return masked[arg, np.arange(points.shape[1])], arg
+    arg = points.argmax(axis=0)
+    return points[arg, np.arange(points.shape[1])], arg
 
 
 def set_max_pool_backward(points_shape, argmax: np.ndarray, dy: np.ndarray) -> np.ndarray:

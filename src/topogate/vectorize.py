@@ -16,7 +16,6 @@ from .diagram import Diagram
 
 __all__ = [
     "ImageGridSpec",
-    "default_t_grid",
     "tent_values",
     "betti_curve",
     "landscape",
@@ -41,11 +40,6 @@ class ImageGridSpec:
         bs = b0 + (np.arange(self.cols) + 0.5) * (b1 - b0) / self.cols
         ps = p0 + (np.arange(self.rows) + 0.5) * (p1 - p0) / self.rows
         return bs, ps
-
-
-def default_t_grid(n: int, lo: float, hi: float) -> np.ndarray:
-    """Uniform grid of n sample values from lo to hi."""
-    return np.linspace(lo, hi, n)
 
 
 def _coords(diag: Diagram):

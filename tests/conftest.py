@@ -1,7 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
 from topogate.diagram import Diagram
+
+
+def empty_diagram() -> Diagram:
+    z = np.zeros(0)
+    return Diagram(z, z, z)
+
+
+def diagram_from_points(points) -> Diagram:
+    """Build from an iterable of (birth, death, dim) triples; a death of
+    math.inf or NaN marks an essential point."""
+    births, deaths, dims = [], [], []
+    for b, d, k in points:
+        births.append(float(b))
+        deaths.append(math.nan if d == math.inf else float(d))
+        dims.append(int(k))
+    return Diagram(np.array(births), np.array(deaths), np.array(dims))
+
+
+def as_multiset(diag: Diagram) -> list[tuple]:
+    """Sorted point list suitable for multiset equality checks."""
+    d = diag.canonical()
+    return [
+        (float(b), None if e else float(dd), int(k), bool(e))
+        for b, dd, k, e in zip(d.births, d.deaths, d.dims, d.essential)
+    ]
 
 
 def alive_counts(diag: Diagram, tau: float) -> tuple[int, int]:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import alive_counts
+from conftest import alive_counts, as_multiset, diagram_from_points
 from cubical_reference import pair_h0_union_find
 from grid_reference import betti_oracle, sublevel_mask
 from tinynn_reference import check_gradient
@@ -30,7 +30,6 @@ from topogate.pipeline import build_feature_dataset
 from topogate.vectorize import (
     ImageGridSpec,
     betti_curve,
-    default_t_grid,
     landscape,
     persistence_image,
     silhouette,
@@ -64,8 +63,8 @@ def test_criterion_1_exhaustive_oracle_equivalence():
         for tau in (0, 1, 2):
             assert alive_counts(diag, tau) == betti_oracle(sublevel_mask(g, tau)), g
         # criterion 3 on the same inputs
-        uf = pair_h0_union_find(filt).as_multiset()
-        red = [p for p in diag.as_multiset() if p[2] == 0]
+        uf = as_multiset(pair_h0_union_find(filt))
+        red = [p for p in as_multiset(diag) if p[2] == 0]
         assert uf == red, g
         checked += 1
     elapsed = time.perf_counter() - t0
@@ -84,8 +83,8 @@ def test_criterion_2_randomized_oracle_equivalence():
         diag = compute_persistence(filt)
         for tau in np.unique(g):
             assert alive_counts(diag, tau) == betti_oracle(sublevel_mask(g, tau))
-        uf = pair_h0_union_find(filt).as_multiset()
-        red = [p for p in diag.as_multiset() if p[2] == 0]
+        uf = as_multiset(pair_h0_union_find(filt))
+        red = [p for p in as_multiset(diag) if p[2] == 0]
         assert uf == red
     report("criterion 2 (randomized oracle equivalence)", "1000 grids, all distinct thresholds, exact")
     report("criterion 3b (H0 fast-path parity, randomized inputs)", "1000 grids exact")
@@ -124,11 +123,10 @@ def test_criterion_5_gradient_verification():
     worst = max(worst, check_gradient(
         lambda v: np.sum(nn.sigmoid_forward(v) * dya), xa, nn.sigmoid_backward(ys, dya)))
     pts = rng.standard_normal((5, 4))
-    presence = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
     dyp = rng.standard_normal(4)
-    _, arg = nn.set_max_pool_forward(pts, presence)
+    _, arg = nn.set_max_pool_forward(pts)
     worst = max(worst, check_gradient(
-        lambda v: np.sum(nn.set_max_pool_forward(v, presence)[0] * dyp),
+        lambda v: np.sum(nn.set_max_pool_forward(v)[0] * dyp),
         pts, nn.set_max_pool_backward(pts.shape, arg, dyp)))
     logits = rng.standard_normal(5)
     _, dlog = nn.softmax_cross_entropy(logits, 2)
@@ -160,11 +158,11 @@ def test_criterion_5_gradient_verification():
 
 
 def test_criterion_6_vectorizer_closed_forms():
-    d = Diagram.from_points([(0, 2, 0)])
-    d2 = Diagram.from_points([(0, 2, 0), (1, 3, 0)])
+    d = diagram_from_points([(0, 2, 0)])
+    d2 = diagram_from_points([(0, 2, 0), (1, 3, 0)])
     assert abs(landscape(d, 1, [1.0])[0] - 1.0) <= 1e-12
     assert abs(landscape(d, 1, [0.5])[0] - 0.5) <= 1e-12
-    assert np.all(landscape(d, 2, default_t_grid(16, 0, 2)) == 0)
+    assert np.all(landscape(d, 2, np.linspace(0, 2, 16)) == 0)
     assert abs(silhouette(d2, 1, [1.5])[0] - 0.5) <= 1e-12
     assert abs(betti_curve(d2, [1.5])[0] - 2) <= 1e-12
     assert abs(betti_curve(d2, [2.5])[0] - 1) <= 1e-12

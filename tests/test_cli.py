@@ -7,9 +7,10 @@ import shutil
 import numpy as np
 import pytest
 
+from conftest import as_multiset, diagram_from_points, empty_diagram
 from topogate import model as modelmod
 from topogate.cli import _FLAG_RULES, build_parser, main
-from topogate.diagram import Diagram, read_diagram, write_diagram
+from topogate.diagram import read_diagram, write_diagram
 from topogate.grid import save_pgm
 
 
@@ -32,7 +33,7 @@ class TestCompute:
         assert run(["compute", "--input", str(img), "--out", str(out)]) == 0
         d = read_diagram(out / "c.json")
         # finitized at 255 by the preprocessing defaults
-        assert d.as_multiset() == [(9.0, 255.0, 0, False)]
+        assert as_multiset(d) == [(9.0, 255.0, 0, False)]
 
     def test_reproducible_bytes(self, tmp_path, dataset_dir):
         out1, out2 = tmp_path / "d1", tmp_path / "d2"
@@ -53,17 +54,17 @@ class TestCompute:
         assert (out / "good.json").exists() and not (out / "bad.json").exists()
 
     def test_roundtrip_preserves_diagram(self, tmp_path):
-        d = Diagram.from_points([(0, math.inf, 0), (10, 200, 1)])
+        d = diagram_from_points([(0, math.inf, 0), (10, 200, 1)])
         p = tmp_path / "x.json"
         write_diagram(p, d)
-        assert read_diagram(p).as_multiset() == d.as_multiset()
+        assert as_multiset(read_diagram(p)) == as_multiset(d)
 
 
 class TestVectorizeCmd:
     @pytest.fixture
     def diagram_path(self, tmp_path):
         p = tmp_path / "d.json"
-        write_diagram(p, Diagram.from_points([(0, 100, 0), (50, 200, 1)]))
+        write_diagram(p, diagram_from_points([(0, 100, 0), (50, 200, 1)]))
         return p
 
     @pytest.mark.parametrize("method", ["betti", "landscape", "silhouette", "pimage"])
@@ -97,7 +98,7 @@ class TestVectorizeCmd:
 
     def test_essential_point_rejected(self, tmp_path, capsys):
         p = tmp_path / "raw.json"
-        write_diagram(p, Diagram.from_points([(0, math.inf, 0), (10, 200, 1)]))
+        write_diagram(p, diagram_from_points([(0, math.inf, 0), (10, 200, 1)]))
         assert run(["vectorize", "--diagram", str(p), "--method", "betti",
                     "--out", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
@@ -207,6 +208,8 @@ class TestTrainEval:
         ("name,class\nsample_00000.pgm,0\n", "missing column(s) file, label"),
         ("file,label\nsample_00000.pgm,two\n", "integer"),
         ("file,label\nsample_00000.pgm\n", "integer"),
+        ("file,label\nsample\x0000000.pgm,0\nsample_00001.pgm,1\n", "without NUL bytes"),
+        ("label,file\n0\n1\n", "every file must be a name"),
     ])
     def test_malformed_labels_csv(self, tmp_path, dataset_dir, capsys, text, says):
         (dataset_dir / "labels.csv").write_text(text)
@@ -224,6 +227,18 @@ class TestTrainEval:
         assert run(["train", "--data", str(dataset_dir), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err
         assert "labels.csv" in err and says in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_labels_csv(self, tmp_path, dataset_dir, capsys, command):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), "--mode", "pd_only",
+                    "--epochs", "1", "--n-per-group", "8"]) == 0
+        path = dataset_dir / "labels.csv"
+        path.write_text("")
+        capsys.readouterr()
+        flags = ["--out", str(tmp_path / "again")] if command == "train" else ["--checkpoint", str(run_dir)]
+        assert run([command, "--data", str(dataset_dir), *flags]) == 1
+        assert f"error: {path}: missing column(s) file, label" in capsys.readouterr().err
 
     def test_labels_csv_not_text(self, tmp_path, dataset_dir, capsys):
         path = dataset_dir / "labels.csv"
@@ -262,6 +277,26 @@ class TestTrainEval:
         capsys.readouterr()
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
         assert str(blob) in capsys.readouterr().err
+
+    def test_eval_nan_parameter(self, tmp_path, dataset_dir, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), "--mode",
+                    "pd_only", "--epochs", "1", "--batch-size", "3", "--n-per-group", "8"]) == 0
+        blob = run_dir / "params.bin"
+        blob.write_bytes(np.full(1, np.nan, "<f8").tobytes() + blob.read_bytes()[8:])
+        capsys.readouterr()
+        assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
+        assert f"error: {blob}: holds a NaN or infinite parameter" in capsys.readouterr().err
+
+    def test_eval_overflowing_parameters(self, tmp_path, dataset_dir, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), "--mode",
+                    "pd_only", "--epochs", "1", "--batch-size", "3", "--n-per-group", "8"]) == 0
+        blob = run_dir / "params.bin"
+        blob.write_bytes(np.full(blob.stat().st_size // 8, 1e200, "<f8").tobytes())
+        capsys.readouterr()
+        assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
+        assert f"error: {run_dir}: the model's logits for sample 0 are not finite" in capsys.readouterr().err
 
     def test_eval_format_2_checkpoint_says_retrain(self, tmp_path, dataset_dir, capsys):
         run_dir = tmp_path / "run"
@@ -361,7 +396,7 @@ def test_every_numeric_flag_has_a_rule():
 def test_non_finite_float_flag_usage_error(tmp_path, dataset_dir, capsys, command, flag, value):
     """Every float flag must be finite; main refuses before any file is written."""
     diagram = tmp_path / "d.json"
-    write_diagram(diagram, Diagram.from_points([(10, 200, 1)]))
+    write_diagram(diagram, diagram_from_points([(10, 200, 1)]))
     out = tmp_path / "out"
     inputs = {
         "compute": ["--input", str(dataset_dir)],
@@ -376,7 +411,7 @@ def test_non_finite_float_flag_usage_error(tmp_path, dataset_dir, capsys, comman
 class TestPlot:
     def test_empty_diagram_svg(self, tmp_path):
         p = tmp_path / "empty.json"
-        write_diagram(p, Diagram.empty())
+        write_diagram(p, empty_diagram())
         out = tmp_path / "pd.svg"
         assert run(["plot", "--diagram", str(p), "--out", str(out)]) == 0
         text = out.read_text()
@@ -384,7 +419,7 @@ class TestPlot:
 
     def test_diagram_svg_reproducible(self, tmp_path):
         p = tmp_path / "d.json"
-        write_diagram(p, Diagram.from_points([(0, math.inf, 0), (10, 200, 1)]))
+        write_diagram(p, diagram_from_points([(0, math.inf, 0), (10, 200, 1)]))
         svgs = []
         for name in ("a.svg", "b.svg"):
             out = tmp_path / name
@@ -408,8 +443,11 @@ class TestPlot:
         ("--history", "not json"),
         ("--history", json.dumps([{"epoch": 0, "lr": 0.1}])),
         ("--history", json.dumps([])),
+        ("--history", '[{"epoch": 0, "train_loss": NaN}, {"epoch": 1, "train_loss": 1.0}]'),
+        ("--history", '[{"epoch": Infinity, "train_loss": 1.0}]'),
     ], ids=["curve-text-cell", "curve-header-only", "curve-ragged", "curve-t-only",
-            "curve-nan", "history-not-json", "history-no-train-loss", "history-empty"])
+            "curve-nan", "history-not-json", "history-no-train-loss", "history-empty",
+            "history-nan-loss", "history-inf-epoch"])
     def test_malformed_plot_input_names_file(self, tmp_path, capsys, flag, text):
         src = tmp_path / "input"
         src.write_text(text)
@@ -428,7 +466,7 @@ class TestPlot:
 
     def test_two_sources_is_usage_error(self, tmp_path, capsys):
         d, h, out = tmp_path / "d.json", tmp_path / "h.json", tmp_path / "x.svg"
-        write_diagram(d, Diagram.from_points([(10, 200, 1)]))
+        write_diagram(d, diagram_from_points([(10, 200, 1)]))
         h.write_text(json.dumps([{"epoch": 0, "train_loss": 1.0}]))
         assert run(["plot", "--diagram", str(d), "--history", str(h), "--out", str(out)]) == 2
         assert "exactly one of" in capsys.readouterr().err and not out.exists()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import alive_counts
+from conftest import alive_counts, as_multiset
 from cubical_reference import (
     CellFiltration,
     FiltrationError,
@@ -80,17 +80,17 @@ class TestBuildFiltration:
 class TestComputePersistence:
     def test_constant_grid(self):
         d = grid_persistence(np.full((2, 2), 7))
-        assert d.as_multiset() == [(7.0, None, 0, True)]
+        assert as_multiset(d) == [(7.0, None, 0, True)]
 
     def test_two_minima_merge(self):
         d = grid_persistence(np.array([[0, 2, 1]]))
-        assert d.as_multiset() == [(1.0, 2.0, 0, False), (0.0, None, 0, True)]
+        assert as_multiset(d) == [(1.0, 2.0, 0, False), (0.0, None, 0, True)]
 
     def test_ring_loop(self):
         g = np.full((3, 3), 1)
         g[1, 1] = 9
         d = grid_persistence(g)
-        assert d.as_multiset() == [(1.0, None, 0, True), (1.0, 9.0, 1, False)]
+        assert as_multiset(d) == [(1.0, None, 0, True), (1.0, 9.0, 1, False)]
 
     def test_face_violation_detected(self):
         f = cell_filtration(np.array([[0, 2, 1]]))
@@ -119,7 +119,7 @@ class TestComputePersistence:
         g = rng.integers(0, 256, size=(12, 12))
         a = grid_persistence(g)
         b = grid_persistence(g)
-        assert a.as_multiset() == b.as_multiset()
+        assert as_multiset(a) == as_multiset(b)
         assert np.array_equal(a.births, b.births)
 
     @given(small_grids)
@@ -143,46 +143,46 @@ class TestComputePersistence:
 
         transformed = [
             (3 * b + 2, None if d is None else 3 * d + 2, k, e)
-            for b, d, k, e in base.as_multiset()
+            for b, d, k, e in as_multiset(base)
         ]
-        assert key(transformed) == key(mapped.as_multiset())
+        assert key(transformed) == key(as_multiset(mapped))
 
 
 class TestUnionFindH0:
     def test_two_minima_merge(self):
         d = pair_h0_union_find(build_filtration(np.array([[0, 2, 1]])))
-        assert d.as_multiset() == [(1.0, 2.0, 0, False), (0.0, None, 0, True)]
+        assert as_multiset(d) == [(1.0, 2.0, 0, False), (0.0, None, 0, True)]
 
     def test_monotone_ramp_no_pairs(self):
         d = pair_h0_union_find(build_filtration(np.array([[0, 1, 2, 3]])))
-        assert d.as_multiset() == [(0.0, None, 0, True)]
+        assert as_multiset(d) == [(0.0, None, 0, True)]
 
     def test_equal_minima_tiebreak(self):
         d = pair_h0_union_find(build_filtration(np.array([[0, 5, 0]])))
-        assert d.as_multiset() == [(0.0, 5.0, 0, False), (0.0, None, 0, True)]
+        assert as_multiset(d) == [(0.0, 5.0, 0, False), (0.0, None, 0, True)]
 
     @given(small_grids)
     @settings(max_examples=150, deadline=None)
     def test_matches_reduction(self, g):
         validate_filtration(cell_filtration(g))
         f = build_filtration(g)
-        uf = pair_h0_union_find(f).as_multiset()
-        red = [p for p in compute_persistence(f).as_multiset() if p[2] == 0]
+        uf = as_multiset(pair_h0_union_find(f))
+        red = [p for p in as_multiset(compute_persistence(f)) if p[2] == 0]
         assert uf == red
 
 
 class TestMetamorphic:
     @staticmethod
     def h1_pairs(g):
-        return sorted((b, d) for b, d, k, _ in grid_persistence(g).as_multiset() if k == 1)
+        return sorted((b, d) for b, d, k, _ in as_multiset(grid_persistence(g)) if k == 1)
 
     @given(st.one_of(small_grids, float_grids))
     @settings(max_examples=150, deadline=None)
     def test_symmetries_of_the_square(self, g):
-        base = grid_persistence(g).as_multiset()
+        base = as_multiset(grid_persistence(g))
         for k in range(4):
             for image in (np.rot90(g, k), np.rot90(g, k).T):
-                assert grid_persistence(image).as_multiset() == base
+                assert as_multiset(grid_persistence(image)) == base
 
     @given(st.one_of(small_grids, float_grids))
     @settings(max_examples=200, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import as_multiset, diagram_from_points, empty_diagram
 from topogate.diagram import (
     Diagram,
     NormalizationStats,
@@ -22,7 +23,7 @@ from topogate.pipeline import build_feature_dataset
 
 
 def diag_of(*points):
-    return Diagram.from_points(points)
+    return diagram_from_points(points)
 
 
 finite_diagrams = st.lists(
@@ -32,7 +33,7 @@ finite_diagrams = st.lists(
         st.integers(0, 1),
     ),
     max_size=30,
-).map(lambda pts: Diagram.from_points([(b, b + gap, k) for b, gap, k in pts]))
+).map(lambda pts: diagram_from_points([(b, b + gap, k) for b, gap, k in pts]))
 
 
 def nan_death():
@@ -47,10 +48,10 @@ class TestEssential:
 
     def test_nan_death_is_essential(self):
         assert list(nan_death().essential) == [True]
-        assert nan_death().as_multiset() == [(3.0, None, 0, True)]
+        assert as_multiset(nan_death()) == [(3.0, None, 0, True)]
 
     def test_finitize_fills_nan_death(self):
-        assert finitize(nan_death(), 255).as_multiset() == [(3.0, 255.0, 0, False)]
+        assert as_multiset(finitize(nan_death(), 255)) == [(3.0, 255.0, 0, False)]
 
     def test_filter_rejects_nan_death(self):
         with pytest.raises(ValueError, match="finitized"):
@@ -77,15 +78,15 @@ class TestEssential:
 class TestFinitize:
     def test_substitution(self):
         d = finitize(diag_of((7, math.inf, 0)), 255)
-        assert d.as_multiset() == [(7.0, 255.0, 0, False)]
+        assert as_multiset(d) == [(7.0, 255.0, 0, False)]
 
     def test_identity_when_finite(self):
         d = diag_of((1, 3, 0), (2, 9, 1))
-        assert finitize(d, 255).as_multiset() == d.as_multiset()
+        assert as_multiset(finitize(d, 255)) == as_multiset(d)
 
     def test_substitution_at_existing_death(self):
         d = finitize(diag_of((0, math.inf, 0), (1, 2, 0)), 2)
-        assert d.as_multiset() == [(0.0, 2.0, 0, False), (1.0, 2.0, 0, False)]
+        assert as_multiset(d) == [(0.0, 2.0, 0, False), (1.0, 2.0, 0, False)]
 
     def test_below_finite_death_rejected(self):
         with pytest.raises(ValueError, match="below"):
@@ -99,14 +100,14 @@ class TestFinitize:
 class TestFilterPersistence:
     def test_drops_small(self):
         d = filter_persistence(diag_of((0, 5, 0), (0, 20, 0)), 10)
-        assert d.as_multiset() == [(0.0, 20.0, 0, False)]
+        assert as_multiset(d) == [(0.0, 20.0, 0, False)]
 
     def test_boundary_inclusive(self):
         d = filter_persistence(diag_of((0, 10, 0)), 10)
-        assert d.as_multiset() == [(0.0, 10.0, 0, False)]
+        assert as_multiset(d) == [(0.0, 10.0, 0, False)]
 
     def test_empty(self):
-        assert len(filter_persistence(Diagram.empty(), 10)) == 0
+        assert len(filter_persistence(empty_diagram(), 10)) == 0
 
     def test_requires_finitized(self):
         with pytest.raises(ValueError, match="finitized"):
@@ -136,7 +137,7 @@ class TestScaleNormalize:
 
 class TestPointFeatures:
     def test_all_padding(self):
-        m = to_point_features(Diagram.empty(), n_per_group=3)
+        m = to_point_features(empty_diagram(), n_per_group=3)
         assert m.shape == (6, 5)
         assert np.array_equal(m[:3, 2], np.ones(3)) and np.array_equal(m[3:, 3], np.ones(3))
         assert np.all(m[:, [0, 1, 4]] == 0)
@@ -156,8 +157,8 @@ class TestPointFeatures:
                zip(rng.random(20), rng.random(20) + 0.1, rng.integers(0, 2, 20))]
         perm = list(pts)
         rng.shuffle(perm)
-        a = to_point_features(Diagram.from_points(pts), 8)
-        b = to_point_features(Diagram.from_points(perm), 8)
+        a = to_point_features(diagram_from_points(pts), 8)
+        b = to_point_features(diagram_from_points(perm), 8)
         assert np.array_equal(a, b)
 
     @given(finite_diagrams)
@@ -196,7 +197,7 @@ class TestSerialization:
             np.array([np.inf, np.nan, -np.inf, 2.5, 1e300, np.nan, np.nan]),
             np.array([0, 1, 0, 1, 0, 1, 0]),
         )
-        diagrams = [Diagram.empty(), diag_of((0, math.inf, 0), (10, 200, 1)), special]
+        diagrams = [empty_diagram(), diag_of((0, math.inf, 0), (10, 200, 1)), special]
         for _ in range(50):
             n = int(rng.integers(0, 40))
             births = rng.random(n) * 255
@@ -212,11 +213,11 @@ class TestSerialization:
         d = diag_of((0, math.inf, 0), (3, 9, 1), (1, 2, 0))
         path = tmp_path / "d.json"
         write_diagram(path, d)
-        assert read_diagram(path).as_multiset() == d.as_multiset()
+        assert as_multiset(read_diagram(path)) == as_multiset(d)
 
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "e.json"
-        write_diagram(path, Diagram.empty())
+        write_diagram(path, empty_diagram())
         assert len(read_diagram(path)) == 0
 
     def test_death_before_birth_rejected(self, tmp_path):

@@ -21,7 +21,6 @@ from topogate.model import (
     gate_forward,
     init_model,
     load_checkpoint,
-    refine,
     save_checkpoint,
     total_loss,
     train,
@@ -32,6 +31,13 @@ from topogate.pipeline import build_feature_dataset
 # one config value each that TrainConfig refuses: a rule, a type or a NaN
 BAD_CONFIG_VALUES = [("ratio", 0), ("n_per_group", -3), ("n_per_group", 1.5), ("mode", "bogus"),
                      ("share_encoder", "no"), ("lr", math.nan), ("seed", -1), ("n_classes", 1)]
+
+
+def _overwrite_param(blob, index, value):
+    """Set the index-th float64 of a params.bin in place; every other byte stays."""
+    data = bytearray(blob.read_bytes())
+    data[8 * index : 8 * index + 8] = np.array([value], dtype="<f8").tobytes()
+    blob.write_bytes(bytes(data))
 
 
 def small_config(**kw):
@@ -90,23 +96,6 @@ class TestGate:
             assert np.all((g > 0) & (g < 1))
 
 
-class TestRefine:
-    def test_identity_and_halving(self, rng):
-        f = rng.random((3, 3, 4))
-        assert np.array_equal(refine(f, np.ones(4)), f)
-        assert np.allclose(refine(f, np.full(4, 0.5)), f / 2)
-
-    def test_channel_mismatch(self, rng):
-        with pytest.raises(ValueError, match="channel"):
-            refine(rng.random((3, 3, 4)), np.ones(5))
-
-    def test_positive_homogeneity(self, rng):
-        f = rng.random((3, 3, 4))
-        t = rng.random(4)
-        for c in (0.0, 0.7, 2.5):
-            assert np.allclose(refine(f, c * t), c * refine(f, t))
-
-
 class TestForward:
     def test_deterministic(self, rng):
         model = init_model(small_config())
@@ -115,14 +104,6 @@ class TestForward:
         lv1, lt1, _ = forward(model, img, feats)
         lv2, lt2, _ = forward(model, img, feats)
         assert np.array_equal(lv1, lv2) and np.array_equal(lt1, lt2)
-
-    def test_gate_scaling_scales_prepool_features(self, rng):
-        """refine is linear: doubling the gate vector doubles the gated map."""
-        model = init_model(small_config())
-        img = rng.random((8, 8))
-        feats = random_features(rng)
-        _, _, cache = forward(model, img, feats)
-        assert np.allclose(refine(cache["a1"], 2 * cache["g1"]), 2 * cache["a1g"])
 
     def test_full_model_gradients(self, rng):
         """Every parameter of the fused model passes finite differences."""
@@ -408,7 +389,9 @@ class TestCheckpoint:
         save_checkpoint(tmp_path / "ck", model, cfg, NormalizationStats.identity())
         loaded, _, _ = load_checkpoint(tmp_path / "ck")
         for m in (model, loaded):
-            assert (m.n_classes, m.m_dim, m.channels, m.share_encoder) == (4, 5, (4, 6), share)
+            p = m.params
+            sizes = (p["thead.l1.w"].shape[1], p["conv1.b"].shape[0], p["conv2.b"].shape[0])
+            assert (m.n_classes, sizes, m.share_encoder) == (4, (5, 4, 6), share)
 
     @pytest.mark.parametrize("mode,share", [
         ("vision_only", True), ("pd_only", True), ("pd_only", False),
@@ -440,7 +423,10 @@ class TestCheckpoint:
         (lambda ck: (ck / "manifest.json").write_text(
             (ck / "manifest.json").read_text().replace('"mode": "full"', '"mode": "pd_only"')),
          "params.bin"),
-    ], ids=["truncated", "overlong", "format1", "format2", "mode-edited"])
+        *[(lambda ck, v=v: _overwrite_param(ck / "params.bin", 5, v),
+           "params.bin: holds a NaN or infinite parameter") for v in (math.nan, math.inf, -math.inf)],
+    ], ids=["truncated", "overlong", "format1", "format2", "mode-edited",
+            "nan-param", "inf-param", "neg-inf-param"])
     def test_malformed_checkpoint_rejected(self, tmp_path, corrupt, says):
         cfg = small_config()
         save_checkpoint(tmp_path / "ck", init_model(cfg), cfg, NormalizationStats.identity())

@@ -57,34 +57,27 @@ class TestActivations:
 class TestSetMaxPool:
     def test_identical_rows(self):
         pts = np.tile([1.0, 2.0], (4, 1))
-        y, arg = nn.set_max_pool_forward(pts, np.ones(4))
+        y, arg = nn.set_max_pool_forward(pts)
         assert np.array_equal(y, [1.0, 2.0])
         assert np.array_equal(arg, [0, 0])  # ties go to the lowest row
 
     def test_permutation_invariance(self, rng):
         pts = rand(rng, 6, 3)
-        y1, _ = nn.set_max_pool_forward(pts, np.ones(6))
-        y2, _ = nn.set_max_pool_forward(pts[::-1].copy(), np.ones(6))
+        y1, _ = nn.set_max_pool_forward(pts)
+        y2, _ = nn.set_max_pool_forward(pts[::-1].copy())
         assert np.array_equal(y1, y2)
 
-    def test_presence_masking(self):
-        pts = np.array([[1.0], [5.0]])
-        y, _ = nn.set_max_pool_forward(pts, np.array([1.0, 0.0]))
-        assert y[0] == 1.0
-
     def test_all_padding_fallback(self):
-        y, arg = nn.set_max_pool_forward(np.ones((3, 2)), np.zeros(3))
+        # encode_pd drops padded rows, so an all-padding diagram pools zero rows
+        y, arg = nn.set_max_pool_forward(np.ones((0, 2)))
         assert np.array_equal(y, [0.0, 0.0]) and np.all(arg == -1)
 
     def test_gradients(self, rng):
         pts = rand(rng, 5, 4)  # tie-free with probability 1
-        presence = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
         dy = rand(rng, 4)
-        _, arg = nn.set_max_pool_forward(pts, presence)
+        _, arg = nn.set_max_pool_forward(pts)
         dx = nn.set_max_pool_backward(pts.shape, arg, dy)
-        ref.check_gradient(
-            lambda v: np.sum(nn.set_max_pool_forward(v, presence)[0] * dy), pts, dx
-        )
+        ref.check_gradient(lambda v: np.sum(nn.set_max_pool_forward(v)[0] * dy), pts, dx)
 
 
 class TestSoftmaxCrossEntropy:

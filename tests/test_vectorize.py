@@ -3,14 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import alive_counts
+from conftest import alive_counts, diagram_from_points, empty_diagram
 from grid_reference import betti_oracle, sublevel_mask
 from topogate.cubical import grid_persistence
 from topogate.diagram import Diagram, finitize
 from topogate.vectorize import (
     ImageGridSpec,
     betti_curve,
-    default_t_grid,
     landscape,
     persistence_image,
     silhouette,
@@ -18,14 +17,14 @@ from topogate.vectorize import (
 
 
 def diag_of(*points):
-    return Diagram.from_points(points)
+    return diagram_from_points(points)
 
 
 finite_diagrams = st.lists(
     st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0.05, 1, allow_nan=False)),
     min_size=1,
     max_size=12,
-).map(lambda pts: Diagram.from_points([(b, b + g, 0) for b, g in pts]))
+).map(lambda pts: diagram_from_points([(b, b + g, 0) for b, g in pts]))
 
 
 @pytest.mark.parametrize("vectorizer", [
@@ -49,11 +48,11 @@ class TestBettiCurve:
         assert betti_curve(d, [2.0])[0] == 1  # dead exactly at its death
 
     def test_empty(self):
-        assert np.all(betti_curve(Diagram.empty(), default_t_grid(64, 0.0, 1.0)) == 0)
+        assert np.all(betti_curve(empty_diagram(), np.linspace(0.0, 1.0, 64)) == 0)
 
     def test_grid_requires_increasing(self):
         with pytest.raises(ValueError):
-            betti_curve(Diagram.empty(), [1.0, 1.0])
+            betti_curve(empty_diagram(), [1.0, 1.0])
 
     def test_matches_oracle_on_grid(self, rng):
         g = rng.integers(0, 8, size=(8, 8))
@@ -71,7 +70,7 @@ class TestLandscape:
         assert landscape(d, 1, [0.5])[0] == 0.5
 
     def test_second_level_zero_for_single_point(self):
-        assert np.all(landscape(diag_of((0, 2, 0)), 2, default_t_grid(8, 0, 2)) == 0)
+        assert np.all(landscape(diag_of((0, 2, 0)), 2, np.linspace(0, 2, 8)) == 0)
 
     def test_multiset_duplicates_count(self):
         assert landscape(diag_of((0, 2, 0), (0, 2, 0)), 2, [1.0])[0] == 1.0
@@ -79,13 +78,13 @@ class TestLandscape:
     @given(finite_diagrams, st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_levels_decreasing(self, d, k):
-        t = default_t_grid(32, 0, 2)
+        t = np.linspace(0, 2, 32)
         assert np.all(landscape(d, k, t) >= landscape(d, k + 1, t) - 1e-12)
 
     @given(finite_diagrams)
     @settings(max_examples=60, deadline=None)
     def test_lipschitz(self, d):
-        t = default_t_grid(256, 0, 2)
+        t = np.linspace(0, 2, 256)
         vals = landscape(d, 1, t)
         step = t[1] - t[0]
         assert np.all(np.abs(np.diff(vals)) <= step + 1e-9)
@@ -94,7 +93,7 @@ class TestLandscape:
 class TestSilhouette:
     def test_single_point_is_tent(self):
         d = diag_of((0, 2, 0))
-        t = default_t_grid(16, 0, 2)
+        t = np.linspace(0, 2, 16)
         assert np.allclose(silhouette(d, 1, t), np.maximum(0, np.minimum(t, 2 - t)))
 
     def test_equal_weights(self):
@@ -105,12 +104,12 @@ class TestSilhouette:
         assert silhouette(d, 0, [1.0])[0] == pytest.approx((1.0 + 1.0) / 2)
 
     def test_empty_all_zero(self):
-        assert np.all(silhouette(Diagram.empty(), 1, default_t_grid(64, 0.0, 1.0)) == 0)
+        assert np.all(silhouette(empty_diagram(), 1, np.linspace(0.0, 1.0, 64)) == 0)
 
     @given(finite_diagrams)
     @settings(max_examples=60, deadline=None)
     def test_lipschitz(self, d):
-        t = default_t_grid(256, 0, 2)
+        t = np.linspace(0, 2, 256)
         vals = silhouette(d, 1, t)
         step = t[1] - t[0]
         assert np.all(np.abs(np.diff(vals)) <= step + 1e-9)
@@ -119,7 +118,7 @@ class TestSilhouette:
 class TestPersistenceImage:
     def test_empty(self):
         spec = ImageGridSpec(4, 4, (0, 1), (0, 1), 0.1)
-        assert np.all(persistence_image(Diagram.empty(), spec) == 0)
+        assert np.all(persistence_image(empty_diagram(), spec) == 0)
 
     def test_center_value(self):
         # single pixel centered on the point (birth 0, persistence 2)
@@ -136,12 +135,12 @@ class TestPersistenceImage:
 
     def test_sigma_guard(self):
         with pytest.raises(ValueError):
-            persistence_image(Diagram.empty(), ImageGridSpec(2, 2, (0, 1), (0, 1), 0))
+            persistence_image(empty_diagram(), ImageGridSpec(2, 2, (0, 1), (0, 1), 0))
 
     def test_nonnegative(self, rng):
         pts = [(b, b + p, 0) for b, p in zip(rng.random(10), rng.random(10) + 0.05)]
         spec = ImageGridSpec(8, 8, (0, 1), (0, 1.2), 0.15)
-        assert np.all(persistence_image(Diagram.from_points(pts), spec) >= 0)
+        assert np.all(persistence_image(diagram_from_points(pts), spec) >= 0)
 
 
 class TestPermutationInvariance:
@@ -150,8 +149,8 @@ class TestPermutationInvariance:
                zip(rng.random(12), rng.random(12) + 0.05, rng.integers(0, 2, 12))]
         shuffled = list(pts)
         rng.shuffle(shuffled)
-        a, b = Diagram.from_points(pts), Diagram.from_points(shuffled)
-        t = default_t_grid(32, 0, 2)
+        a, b = diagram_from_points(pts), diagram_from_points(shuffled)
+        t = np.linspace(0, 2, 32)
         spec = ImageGridSpec(6, 6, (0, 1), (0, 1.2), 0.2)
         assert np.allclose(betti_curve(a, t), betti_curve(b, t))
         assert np.allclose(landscape(a, 2, t), landscape(b, 2, t))
