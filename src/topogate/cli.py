@@ -187,7 +187,11 @@ def cmd_train(args) -> int:
     config = modelmod.TrainConfig(**{f: getattr(args, f) for f in flags},
                                   n_classes=max(s.label for s in samples) + 1)
     dataset, stats = pipeline.build_feature_dataset(samples, n_per_group=config.n_per_group)
-    model, history = modelmod.train(dataset, config)
+    try:
+        model, history = modelmod.train(dataset, config)
+    except FloatingPointError as e:  # a finite but too large --lr can overflow float64
+        print(f"error: {args.data}: {e}; try a smaller --lr", file=sys.stderr)
+        return 1
     os.makedirs(args.out, exist_ok=True)
     modelmod.save_checkpoint(args.out, model, config, stats)
     with open(os.path.join(args.out, "history.json"), "w") as f:

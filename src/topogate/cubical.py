@@ -68,36 +68,44 @@ def _h0_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray):
     enters at values[i] and whose edge (a[k], b[k]) enters at the larger value
     of its ends.
 
-    Edges are taken in stable value order. Each root is its component's
-    lowest node, so on a merge the root with the higher value (the younger
-    component) joins the other and dies at the edge's value. Pairs of zero
-    persistence are dropped.
+    Nodes are relabelled by their rank in the total order (value, index), and
+    edges are taken in stable order of the rank of their higher end. Each root
+    is its component's lowest-ranked node, so on a merge the root of higher
+    rank (the younger component) joins the other and dies at the value of the
+    edge's higher end. Pairs of zero persistence are dropped.
     """
-    weights = np.maximum(values[a], values[b])
-    order = np.argsort(weights, kind="stable")
-    birth = values.tolist()
-    parent = list(range(len(birth)))
-    births: list[float] = []
-    deaths: list[float] = []
+    order = np.argsort(values, kind="stable")
+    rank = np.empty(len(values), a.dtype)
+    rank[order] = np.arange(len(values), dtype=a.dtype)
+    lo, hi = rank[a], rank[b]
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)  # frees rank[a]
+    del rank
+    edges = np.argsort(hi, kind="stable").astype(a.dtype)  # argsort gives int64
+    parent = list(range(len(values)))
+    born: list[int] = []
+    died: list[int] = []
 
     def find(x: int) -> int:
         while parent[x] != x:  # path halving
             parent[x] = x = parent[parent[x]]
         return x
 
-    for i in range(0, len(order), _CHUNK):
-        chunk = order[i : i + _CHUNK]
-        for x, y, d in zip(a[chunk].tolist(), b[chunk].tolist(), weights[chunk].tolist()):
-            x, y = find(x), find(y)
+    for i in range(0, len(edges), _CHUNK):
+        chunk = edges[i : i + _CHUNK]
+        for x, top in zip(lo[chunk].tolist(), hi[chunk].tolist()):
+            x, y = find(x), find(top)
             if x == y:
                 continue
-            if birth[x] > birth[y]:
+            if x > y:
                 x, y = y, x
             parent[y] = x
-            if d > birth[y]:
-                births.append(birth[y])
-                deaths.append(d)
-    return births, deaths
+            if y != top:  # a node merged as it enters has zero persistence
+                born.append(y)
+                died.append(top)
+    ranked = values[order]
+    births, deaths = ranked[born], ranked[died]
+    keep = deaths > births
+    return births[keep], deaths[keep]
 
 
 def compute_persistence(filt: CubicalFiltration) -> Diagram:
@@ -108,27 +116,30 @@ def compute_persistence(filt: CubicalFiltration) -> Diagram:
     """
     grid = filt.grid
     h, w = grid.shape
-    ids = np.arange(h * w).reshape(h, w)
-    # 4-adjacency: right and down neighbours
-    a4 = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
-    b4 = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    b0, d0 = _h0_pairs(grid.ravel(), a4, b4)
-
-    # 8-adjacency adds both diagonals; every border pixel joins the exterior
+    # node ids, with h * w for the dual's exterior node, fit int32 when they can
+    itype = np.int32 if h * w < np.iinfo(np.int32).max else np.int64
+    ids = np.arange(h * w, dtype=itype).reshape(h, w)
     border = np.ones((h, w), dtype=bool)
     border[1:-1, 1:-1] = False
-    exterior = h * w
-    a8 = np.concatenate([a4, ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel(), ids[border]])
-    b8 = np.concatenate(
-        [b4, ids[1:, 1:].ravel(), ids[1:, :-1].ravel(), np.full(border.sum(), exterior)]
+    # 4-adjacency (right and down neighbours) first, then both diagonals and an
+    # edge from every border pixel to the exterior for the 8-adjacent dual
+    a = np.concatenate(
+        [ids[:, :-1].ravel(), ids[:-1, :].ravel(), ids[:-1, :-1].ravel(), ids[:-1, 1:].ravel(),
+         ids[border]]
     )
+    b = np.concatenate(
+        [ids[:, 1:].ravel(), ids[1:, :].ravel(), ids[1:, 1:].ravel(), ids[1:, :-1].ravel(),
+         np.full(border.sum(), h * w, itype)]
+    )
+    n4 = h * (w - 1) + (h - 1) * w
+    b0, d0 = _h0_pairs(grid.ravel(), a[:n4], b[:n4])
     # the dual's births, negated, are H1 deaths and its deaths H1 births
-    d1, b1 = _h0_pairs(np.append(-grid.ravel(), -np.inf), a8, b8)
+    d1, b1 = _h0_pairs(np.append(-grid.ravel(), -np.inf), a, b)
 
     n1, n0 = len(b1), len(b0)
     return Diagram(
-        np.concatenate([-np.array(b1), np.array(b0), [grid.min()]]),
-        np.concatenate([-np.array(d1), np.array(d0), [np.nan]]),
+        np.concatenate([-b1, b0, [grid.min()]]),
+        np.concatenate([-d1, d0, [np.nan]]),
         np.concatenate([np.ones(n1, np.int8), np.zeros(n0 + 1, np.int8)]),
     ).canonical()
 

@@ -114,6 +114,11 @@ def save_pgm(path, grid: np.ndarray) -> None:
 def load_csv_grid(path) -> np.ndarray:
     """Load a grid from CSV: one image row per line, comma-separated integers
     in 0..255."""
+    with open(path, "rb") as f:
+        lines = f.read().splitlines()
+    # np.loadtxt only warns on a file without values, and '#' starts its comments
+    if not any(line.split(b"#")[0].strip() for line in lines):
+        raise FormatError("CSV grid holds no values")
     try:
         values = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
     except ValueError as e:

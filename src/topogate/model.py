@@ -347,12 +347,15 @@ def _sample_grads(model: PHGModel, image, features, label, alpha: float):
     return loss, backward(model, cache, dv, dt)
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")  # non-finite results raise below
 def train(dataset, config: TrainConfig):
     """Train a model on (image uint8, point-features, label) triples.
 
     Each epoch shuffles the samples and flips each image left-right with
     probability 1/2. Deterministic given config.seed. Returns (model, history)
     where history holds the per-epoch learning rate and mean training loss.
+    Raises FloatingPointError when a batch's loss, or a parameter at the end,
+    is not finite.
     """
     if not dataset:
         raise ValueError("empty training dataset")
@@ -383,12 +386,17 @@ def train(dataset, config: TrainConfig):
                         batch_grads[name] += grads[name]
                     else:
                         batch_grads[name] = grads[name].copy()
+            if not math.isfinite(batch_loss):
+                raise FloatingPointError(f"training diverged: the loss of epoch {epoch}, "
+                                         f"batch {start // config.batch_size} is not finite")
             scale = 1.0 / len(idx)
             for name in batch_grads:
                 batch_grads[name] *= scale
             nn.adam_step(model.params, batch_grads, state, lr)
             epoch_loss += batch_loss
         history.append({"epoch": epoch, "lr": lr, "train_loss": epoch_loss / n})
+    if not all(np.isfinite(p).all() for p in model.params.values()):
+        raise FloatingPointError("training diverged: a parameter is not finite")
     return model, history
 
 

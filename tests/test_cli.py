@@ -3,6 +3,7 @@ import json
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,14 @@ class TestCompute:
         out = tmp_path / "d"
         assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
         assert (out / "good.json").exists() and not (out / "bad.json").exists()
+
+    def test_empty_csv_grid_says_only_its_error(self, tmp_path, capsys):
+        grid = tmp_path / "empty.csv"
+        grid.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.loadtxt would warn of "no data"
+            assert run(["compute", "--input", str(grid), "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"error: {grid}: CSV grid holds no values\n"
 
     def test_roundtrip_preserves_diagram(self, tmp_path):
         d = diagram_from_points([(0, math.inf, 0), (10, 200, 1)])
@@ -297,6 +306,18 @@ class TestTrainEval:
         capsys.readouterr()
         assert run(["eval", "--data", str(dataset_dir), "--checkpoint", str(run_dir)]) == 1
         assert f"error: {run_dir}: the model's logits for sample 0 are not finite" in capsys.readouterr().err
+
+    def test_diverged_training_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        data, run_dir = tmp_path / "d", tmp_path / "run"
+        assert run(["gen", "--seed", "2", "--n", "6", "--size", "32", "--out", str(data)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning may escape
+            assert run(["train", "--data", str(data), "--out", str(run_dir), "--mode", "pd_only",
+                        "--epochs", "2", "--lr", "1e300"]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {data}: training diverged" in err and "--lr" in err
+        assert not run_dir.exists()
 
     def test_eval_format_2_checkpoint_says_retrain(self, tmp_path, dataset_dir, capsys):
         run_dir = tmp_path / "run"

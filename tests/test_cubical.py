@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +239,25 @@ class TestReferenceParity:
     def test_shape_images(self, size, n):
         for sample in generate_shapes(seed=7, n=n, size=size):
             self.check(sample.image)
+
+    # wide plateaus: many merges tie in value, so the (value, index) rank
+    # decides which of two equal roots is the elder
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_wide_plateau_grids(self, rng, levels):
+        for _ in range(3):
+            self.check(rng.integers(0, levels, size=(48, 48)))
+
+    def test_quantized_shape_image(self):
+        self.check(generate_shapes(seed=7, n=1, size=64)[0].image // 64)
+
+
+def test_peak_memory_at_224():
+    """grid_persistence allocates at most 10 MiB on a 224x224 shape image."""
+    image = generate_shapes(seed=7, n=1, size=224)[0].image
+    tracemalloc.start()
+    try:
+        grid_persistence(image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"{peak / 2**20:.2f} MiB"

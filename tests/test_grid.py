@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,16 @@ class TestCsvGrid:
         p.write_text(f"0,1\n{value},2\n")
         with pytest.raises(FormatError, match="out of range"):
             load_csv_grid(p)
+
+    @pytest.mark.parametrize("text", ["", "  \n\n", " \t\n# a comment\n"],
+                             ids=["empty", "whitespace", "comment"])
+    def test_no_values_rejected_without_warning(self, tmp_path, text):
+        p = tmp_path / "e.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="holds no values"):
+                load_csv_grid(p)
 
     def test_malformed(self, tmp_path):
         p = tmp_path / "h.csv"

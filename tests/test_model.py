@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -308,6 +309,30 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train([], small_config())
+
+    @pytest.mark.parametrize("mode", ["full", "pd_only", "vision_only"])
+    @pytest.mark.parametrize("lr", [1e300, 1e30])
+    def test_diverged_loss_raises_without_warnings(self, mode, lr):
+        ds, _ = tiny_dataset(seed=14, n=6)
+        cfg = small_config(mode=mode, epochs=2, lr=lr, batch_size=3, n_per_group=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="training diverged: the loss of epoch"):
+                train(ds, cfg)
+
+    def test_non_finite_parameter_after_last_step_raises(self, monkeypatch):
+        # the loss is checked before each step, so only the parameter check
+        # sees a step that overflows on the last batch
+        adam_step = nn.adam_step
+
+        def overflowing_step(params, grads, state, lr):
+            adam_step(params, grads, state, lr)
+            params["thead.l2.b"][0] = np.inf
+
+        monkeypatch.setattr(nn, "adam_step", overflowing_step)
+        ds, _ = tiny_dataset(seed=14, n=6)
+        with pytest.raises(FloatingPointError, match="a parameter is not finite"):
+            train(ds, small_config(mode="pd_only", epochs=1, batch_size=6, n_per_group=8))
 
     def test_label_range_checked(self):
         ds, _ = tiny_dataset(seed=14, n=6)
