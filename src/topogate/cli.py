@@ -42,6 +42,8 @@ def cmd_compute(args) -> int:
             for n in os.listdir(args.input)
             if n.endswith((".pgm", ".csv")) and n != "labels.csv"
         )
+        if not names:
+            raise gridmod.FormatError(f"{args.input}: no .pgm or .csv images")
         inputs = [os.path.join(args.input, n) for n in names]
     else:
         inputs = [args.input]

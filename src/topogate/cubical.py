@@ -10,6 +10,12 @@ dimensions are paired by one elder-rule union-find over a graph's edges:
   arXiv:2005.04597; CubicalRipser uses the same scheme). The superlevel
   filtration is run as the sublevel one of the negated grid, and negation is
   exact.
+Before the union-find, numpy contracts every node that is not a local minimum
+into the basin of its lowest neighbour, the vertex step of the discrete
+gradient of Robins, Wood & Sheppard ("Theory and algorithms for constructing
+discrete Morse complexes from grayscale digital images", IEEE TPAMI 2011).
+Such a node dies as it enters, so the union-find sees only the edges between
+basins.
 The per-cell Z/2 boundary reduction that these diagrams must equal bit for bit
 lives with the tests.
 """
@@ -68,11 +74,17 @@ def _h0_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray):
     enters at values[i] and whose edge (a[k], b[k]) enters at the larger value
     of its ends.
 
-    Nodes are relabelled by their rank in the total order (value, index), and
-    edges are taken in stable order of the rank of their higher end. Each root
-    is its component's lowest-ranked node, so on a merge the root of higher
-    rank (the younger component) joins the other and dies at the value of the
-    edge's higher end. Pairs of zero persistence are dropped.
+    Nodes are relabelled by their rank in the total order (value, index).
+    Every node points at its lowest-ranked neighbour when that one ranks below
+    it, and pointer jumping follows these pointers down to a local minimum, the
+    node's basin (Robins, Wood & Sheppard, IEEE TPAMI 2011). A node joins its
+    lower neighbour's component as it enters, at zero persistence, so the
+    nodes of a basin can be merged into its minimum from the start, and only
+    the edges between basins are left. They are taken in stable order of the
+    rank of their higher end. Each root is its component's lowest-ranked node,
+    so on a merge the root of higher rank (the younger component) joins the
+    other and dies at the value of the edge's higher end. Pairs of zero
+    persistence are dropped.
     """
     order = np.argsort(values, kind="stable")
     rank = np.empty(len(values), a.dtype)
@@ -80,6 +92,14 @@ def _h0_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray):
     lo, hi = rank[a], rank[b]
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi, out=hi)  # frees rank[a]
     del rank
+    # point every node at its lowest neighbour if that one is lower, else at itself
+    basin = np.arange(len(values), dtype=a.dtype)
+    np.minimum.at(basin, hi, lo)
+    while not np.array_equal(jumped := basin[basin], basin):  # pointer jumping
+        basin = jumped
+    lo, bh = basin[lo], basin[hi]
+    between = lo != bh
+    lo, hi, bh = lo[between], hi[between], bh[between]
     edges = np.argsort(hi, kind="stable").astype(a.dtype)  # argsort gives int64
     parent = list(range(len(values)))
     born: list[int] = []
@@ -92,16 +112,15 @@ def _h0_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     for i in range(0, len(edges), _CHUNK):
         chunk = edges[i : i + _CHUNK]
-        for x, top in zip(lo[chunk].tolist(), hi[chunk].tolist()):
-            x, y = find(x), find(top)
+        for x, y, top in zip(lo[chunk].tolist(), bh[chunk].tolist(), hi[chunk].tolist()):
+            x, y = find(x), find(y)
             if x == y:
                 continue
             if x > y:
                 x, y = y, x
             parent[y] = x
-            if y != top:  # a node merged as it enters has zero persistence
-                born.append(y)
-                died.append(top)
+            born.append(y)
+            died.append(top)
     ranked = values[order]
     births, deaths = ranked[born], ranked[died]
     keep = deaths > births

@@ -275,8 +275,7 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray):
                 g, cache[f"gate_cache{i}"] = gate_forward(ts[i], p, f"gate{i}")
             # the channel gate broadcasts along both spatial axes
             h, arg = nn.maxpool2x2_forward(a if g is None else a * g)
-            cache.update({f"y{n}": y, f"a{n}": a, f"g{n}": g,
-                          f"patches{n}": patches, f"arg{n}": arg, f"p{n}": h})
+            cache.update({f"a{n}": a, f"g{n}": g, f"patches{n}": patches, f"arg{n}": arg, f"p{n}": h})
         cache["pooled"] = nn.global_avg_pool_forward(h)
         logits_v = nn.linear_forward(cache["pooled"], p["vhead.w"], p["vhead.b"])
     return logits_v, logits_t, cache
@@ -301,7 +300,7 @@ def backward(model: PHGModel, cache: dict, dlogits_v, dlogits_t) -> dict:
                 dt_gates.insert(0, dt)
                 grads.update(gate_grads)
                 dag *= cache[f"g{n}"]  # now the gradient of the ungated activation
-            dy = nn.relu_backward(cache[f"y{n}"], dag)
+            dy = nn.relu_backward(cache[f"a{n}"], dag)  # a > 0 exactly where y > 0
             w, patches = p[f"conv{n}.w"], cache[f"patches{n}"]
             if n == 2:
                 dh, grads["conv2.w"], grads["conv2.b"] = nn.conv3x3_backward(cache["p1"], w, patches, dy)

@@ -62,6 +62,15 @@ class TestCompute:
             assert run(["compute", "--input", str(grid), "--out", str(tmp_path / "d")]) == 1
         assert capsys.readouterr().err == f"error: {grid}: CSV grid holds no values\n"
 
+    def test_directory_without_images_exits_1(self, tmp_path, capsys):
+        src = tmp_path / "imgs"
+        src.mkdir()
+        (src / "labels.csv").write_text("file,label\n")  # not an image
+        out = tmp_path / "d"
+        assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: no .pgm or .csv images\n"
+        assert not out.exists()
+
     def test_roundtrip_preserves_diagram(self, tmp_path):
         d = diagram_from_points([(0, math.inf, 0), (10, 200, 1)])
         p = tmp_path / "x.json"

@@ -250,6 +250,30 @@ class TestReferenceParity:
     def test_quantized_shape_image(self):
         self.check(generate_shapes(seed=7, n=1, size=64)[0].image // 64)
 
+    def test_descending_serpentine(self):
+        # one strictly descending path through every even row, joined at
+        # alternate ends through walls of high pixels: each node's lowest
+        # neighbour is the next one on the path, so pointer jumping takes
+        # about log2(the path's length) rounds to reach the basin
+        k = 33
+        path = []
+        for r in range(0, k, 2):
+            path += [(r, c) for c in (range(k) if r % 4 == 0 else range(k - 1, -1, -1))]
+            if r + 1 < k:
+                path.append((r + 1, path[-1][1]))
+        grid = np.full((k, k), 2.0 * k * k)
+        for i, (r, c) in enumerate(path):
+            grid[r, c] = len(path) - i
+        self.check(grid)
+
+    def test_increasing_ramp(self):
+        # one basin, the corner minimum, so no H0 edge is left between basins
+        self.check(np.add.outer(np.arange(12.0), 12.0 * np.arange(15.0)))
+
+    def test_checkerboard(self):
+        # every 0 pixel is a basin of its own under 4-adjacency
+        self.check(np.indices((16, 17)).sum(axis=0) % 2)
+
 
 def test_peak_memory_at_224():
     """grid_persistence allocates at most 10 MiB on a 224x224 shape image."""
