@@ -44,6 +44,10 @@ def cmd_compute(args) -> int:
         )
         if not names:
             raise gridmod.FormatError(f"{args.input}: no .pgm or .csv images")
+        pgms = {n for n in names if n.endswith(".pgm")}
+        for n in names:
+            if n.endswith(".csv") and (stem := n[:-4]) + ".pgm" in pgms:
+                raise gridmod.FormatError(f"{args.input}: {n} and {stem}.pgm would both write {stem}.json")
         inputs = [os.path.join(args.input, n) for n in names]
     else:
         inputs = [args.input]
@@ -405,18 +409,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    # --epochs, --lr and --batch-size default to a shorter run than TrainConfig's
     defaults = modelmod.TrainConfig()
     p = sub.add_parser("train", help="train a model on a generated dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--mode", choices=modelmod.MODES, default=defaults.mode)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--lr", type=float, default=3e-3)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--lr", type=float, default=defaults.lr)
     p.add_argument("--alpha", type=float, default=defaults.alpha)
-    p.add_argument("--batch-size", type=int, default=16, dest="batch_size")
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size, dest="batch_size")
     p.add_argument("--seed", type=int, default=defaults.seed)
-    p.add_argument("--n-per-group", type=int, default=dg.DEFAULT_N_PER_GROUP, dest="n_per_group")
+    p.add_argument("--n-per-group", type=int, default=defaults.n_per_group, dest="n_per_group")
     p.add_argument("--ratio", type=int, default=defaults.ratio)
     p.add_argument("--share-encoder", action=argparse.BooleanOptionalAction, default=defaults.share_encoder, dest="share_encoder")
     p.set_defaults(func=cmd_train)

@@ -64,11 +64,6 @@ def build_filtration(grid: np.ndarray) -> CubicalFiltration:
     return CubicalFiltration(grid + 0.0)
 
 
-# Edge lists are converted to Python ints this many edges at a time, which
-# bounds the memory the lists take on large images.
-_CHUNK = 4096
-
-
 def _h0_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Finite (births, deaths) of the sublevel H0 of a graph whose node i
     enters at values[i] and whose edge (a[k], b[k]) enters at the larger value
@@ -100,7 +95,9 @@ def _h0_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray):
     lo, bh = basin[lo], basin[hi]
     between = lo != bh
     lo, hi, bh = lo[between], hi[between], bh[between]
-    edges = np.argsort(hi, kind="stable").astype(a.dtype)  # argsort gives int64
+    edges = np.argsort(hi, kind="stable")
+    lo, bh, hi = lo[edges], bh[edges], hi[edges]
+    del edges
     parent = list(range(len(values)))
     born: list[int] = []
     died: list[int] = []
@@ -110,17 +107,16 @@ def _h0_pairs(values: np.ndarray, a: np.ndarray, b: np.ndarray):
             parent[x] = x = parent[parent[x]]
         return x
 
-    for i in range(0, len(edges), _CHUNK):
-        chunk = edges[i : i + _CHUNK]
-        for x, y, top in zip(lo[chunk].tolist(), bh[chunk].tolist(), hi[chunk].tolist()):
-            x, y = find(x), find(y)
-            if x == y:
-                continue
-            if x > y:
-                x, y = y, x
-            parent[y] = x
-            born.append(y)
-            died.append(top)
+    # a memoryview yields one Python int at a time, so no per-edge list is built
+    for x, y, top in zip(memoryview(lo), memoryview(bh), memoryview(hi)):
+        x, y = find(x), find(y)
+        if x == y:
+            continue
+        if x > y:
+            x, y = y, x
+        parent[y] = x
+        born.append(y)
+        died.append(top)
     ranked = values[order]
     births, deaths = ranked[born], ranked[died]
     keep = deaths > births

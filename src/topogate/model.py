@@ -63,13 +63,13 @@ CONFIG_RULES = {
 
 @dataclass
 class TrainConfig:
-    """Training hyper-parameters; defaults follow the reference protocol. Each field
-    must have its annotated type, be finite if a float, and meet its CONFIG_RULES row."""
+    """Training hyper-parameters; the defaults are the run `topogate train` starts. Each
+    field must have its annotated type, be finite if a float, and meet its CONFIG_RULES row."""
 
-    epochs: int = 30
-    lr: float = 1e-4
+    epochs: int = 15
+    lr: float = 3e-3
     alpha: float = 0.1
-    batch_size: int = 32
+    batch_size: int = 16
     seed: int = 0
     n_per_group: int = DEFAULT_N_PER_GROUP
     ratio: int = 8

@@ -28,7 +28,7 @@ def load_perfbench(name):
 def test_benchmark_calls_bind(tmp_path):
     workloads = load_perfbench("workloads")
     config = workloads.train_config(seed=3, epochs=1, batch_size=3)  # passes use_phg=True
-    assert config.mode == "full"
+    assert config == model.TrainConfig(seed=3, epochs=1, batch_size=3)  # what the CLI trains
     dataset, stats = build_feature_dataset(
         generate_shapes(seed=3, n=6, size=32), n_per_group=workloads.N_PER_GROUP
     )

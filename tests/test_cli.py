@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -69,6 +70,16 @@ class TestCompute:
         out = tmp_path / "d"
         assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {src}: no .pgm or .csv images\n"
+        assert not out.exists()
+
+    def test_shared_stem_exits_1_before_writing(self, tmp_path, capsys):
+        src = tmp_path / "imgs"
+        src.mkdir()
+        save_pgm(src / "x.pgm", np.full((3, 3), 5, dtype=np.uint8))
+        (src / "x.csv").write_text("1,2\n3,4\n")
+        out = tmp_path / "d"
+        assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: x.csv and x.pgm would both write x.json\n"
         assert not out.exists()
 
     def test_roundtrip_preserves_diagram(self, tmp_path):
@@ -410,6 +421,16 @@ def test_every_numeric_flag_has_a_rule():
                     command, action.option_strings)
             if command == "train" and action.dest in _FLAG_RULES:
                 assert _FLAG_RULES[action.dest] is modelmod.CONFIG_RULES[action.dest], action.dest
+
+
+def test_train_flags_default_to_train_config():
+    """topogate train with no optional flag trains TrainConfig's default run."""
+    args = build_parser().parse_args(["train", "--data", "d", "--out", "o"])
+    defaults = modelmod.TrainConfig()
+    flags = [f.name for f in dataclasses.fields(defaults) if f.name in vars(args)]
+    assert len(flags) == 9
+    for name in flags:
+        assert getattr(args, name) == getattr(defaults, name), name
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -20,6 +20,7 @@ from cubical_reference import (
 )
 from grid_reference import betti_oracle, sublevel_mask
 from topogate.cubical import (
+    _h0_pairs,
     build_filtration,
     compute_persistence,
     grid_persistence,
@@ -170,6 +171,23 @@ class TestUnionFindH0:
         uf = as_multiset(pair_h0_union_find(f))
         red = [p for p in as_multiset(compute_persistence(f)) if p[2] == 0]
         assert uf == red
+
+    def test_int64_ids_pair_as_int32_ids(self):
+        """compute_persistence passes int64 node ids only from 2**31 pixels on,
+        where the loop's memoryviews hold 'l' items, not 'i'; the pairs must be
+        the same bits as with int32 ids."""
+        rng = np.random.default_rng(20)
+        pairs = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            values = rng.integers(0, 4, n).astype(np.float64)
+            a, b = rng.integers(0, n, (2, int(rng.integers(0, 3 * n))))
+            p32 = _h0_pairs(values, a.astype(np.int32), b.astype(np.int32))
+            p64 = _h0_pairs(values, a.astype(np.int64), b.astype(np.int64))
+            for x, y in zip(p32, p64):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+            pairs += len(p64[0])
+        assert pairs > 0
 
 
 class TestMetamorphic:
