@@ -145,8 +145,6 @@ def to_point_features(diag: Diagram, n_per_group: int = DEFAULT_N_PER_GROUP) -> 
         block = out[g * n_per_group : (g + 1) * n_per_group]
         block[:, 2 + g] = 1.0
         sub = diag.select(g)
-        if len(sub) == 0:
-            continue
         pers = sub.deaths - sub.births
         order = np.lexsort((sub.births, -pers))[:n_per_group]
         k = len(order)

@@ -31,9 +31,7 @@ __all__ = [
     "PHGModel",
     "init_model",
     "encode_pd",
-    "encode_pd_backward",
     "gate_forward",
-    "gate_backward",
     "forward",
     "backward",
     "total_loss",
@@ -56,6 +54,9 @@ CONFIG_RULES = {
     "seed": (">= 0", lambda c: c.seed >= 0),
     "n_per_group": (">= 1", lambda c: c.n_per_group >= 1),
     "ratio": (">= 1", lambda c: c.ratio >= 1),
+    "m_dim": (">= 1", lambda c: c.m_dim >= 1),
+    "channels": ("two ints, each >= 1",
+                 lambda c: len(c.channels) == 2 and all(type(n) is int and n >= 1 for n in c.channels)),
     "mode": ("one of " + ", ".join(MODES), lambda c: c.mode in MODES),
     "n_classes": (">= 2", lambda c: c.n_classes >= 2),
 }
@@ -146,8 +147,7 @@ def init_model(config: TrainConfig) -> PHGModel:
     """
     params: dict[str, np.ndarray] = {}
     c1, c2 = config.channels
-    k = config.n_classes
-    m = config.m_dim
+    k, m = config.n_classes, config.m_dim
     vision, topo = config.mode != "pd_only", config.mode != "vision_only"
 
     if vision:
@@ -220,27 +220,13 @@ def encode_pd(features: np.ndarray, params: dict, prefix: str = "enc"):
     return t, (mlp_cache, argmax)
 
 
-def encode_pd_backward(cache, params: dict, dt: np.ndarray, prefix: str = "enc") -> dict:
-    mlp_cache, argmax = cache
-    dz = nn.set_max_pool_backward(mlp_cache[-1][1].shape, argmax, dt)
-    return _mlp_backward(params, _encoder_layers(prefix), mlp_cache, dz)[1]
-
-
 # ------------------------------------------------------------------------ gate
 
 
 def gate_forward(t: np.ndarray, params: dict, prefix: str):
-    """Channel gate: sigmoid(expand(relu(reduce(t)))), every output in (0, 1)."""
+    """Channel gate g = sigmoid(expand(relu(reduce(t)))), each in (0, 1); returns (g, cache)."""
     ze, mlp_cache = _mlp_forward(params, _gate_layers(prefix), t)
-    g = nn.sigmoid_forward(ze)
-    return g, (mlp_cache, g)
-
-
-def gate_backward(cache, params: dict, dg: np.ndarray, prefix: str):
-    """Returns (dt, grads)."""
-    mlp_cache, g = cache
-    dze = nn.sigmoid_backward(g, dg)
-    return _mlp_backward(params, _gate_layers(prefix), mlp_cache, dze)
+    return nn.sigmoid_forward(ze), mlp_cache
 
 
 # ----------------------------------------------------------- forward, backward
@@ -294,12 +280,13 @@ def backward(model: PHGModel, cache: dict, dlogits_v, dlogits_t) -> dict:
         dh = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
         for i, n in ((1, 2), (0, 1)):
             dag = nn.maxpool2x2_backward(cache[f"a{n}"].shape, cache[f"arg{n}"], dh)
-            if cache[f"g{n}"] is not None:
-                dg = (dag * cache[f"a{n}"]).sum(axis=(0, 1))
-                dt, gate_grads = gate_backward(cache[f"gate_cache{i}"], p, dg, f"gate{i}")
+            g = cache[f"g{n}"]
+            if g is not None:
+                dze = nn.sigmoid_backward(g, (dag * cache[f"a{n}"]).sum(axis=(0, 1)))
+                dt, gate_grads = _mlp_backward(p, _gate_layers(f"gate{i}"), cache[f"gate_cache{i}"], dze)
                 dt_gates.insert(0, dt)
                 grads.update(gate_grads)
-                dag *= cache[f"g{n}"]  # now the gradient of the ungated activation
+                dag *= g  # now the gradient of the ungated activation
             dy = nn.relu_backward(cache[f"a{n}"], dag)  # a > 0 exactly where y > 0
             w, patches = p[f"conv{n}.w"], cache[f"patches{n}"]
             if n == 2:
@@ -316,7 +303,9 @@ def backward(model: PHGModel, cache: dict, dlogits_v, dlogits_t) -> dict:
             if model.share_encoder:
                 dts = [dts[0] + dts[1]]
         for i, dt in enumerate(dts):
-            grads.update(encode_pd_backward(cache[f"enc_cache{i}"], p, dt, model.encoder_prefix(i)))
+            mlp_cache, argmax = cache[f"enc_cache{i}"]
+            dz = nn.set_max_pool_backward(mlp_cache[-1][1].shape, argmax, dt)
+            grads.update(_mlp_backward(p, _encoder_layers(model.encoder_prefix(i)), mlp_cache, dz)[1])
     return grads
 
 
@@ -374,17 +363,16 @@ def train(dataset, config: TrainConfig):
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            batch_grads: dict[str, np.ndarray] = {}
-            batch_loss = 0.0
+            batch_grads, batch_loss = None, 0.0
             for j in idx:
                 img = images[j][:, ::-1] if flips[j] else images[j]
                 loss, grads = _sample_grads(model, img, dataset[j][1], dataset[j][2], config.alpha)
                 batch_loss += loss
+                if batch_grads is None:  # backward returns fresh arrays, so they sum in place
+                    batch_grads = grads
+                    continue
                 for name in grads:
-                    if name in batch_grads:
-                        batch_grads[name] += grads[name]
-                    else:
-                        batch_grads[name] = grads[name].copy()
+                    batch_grads[name] += grads[name]
             if not math.isfinite(batch_loss):
                 raise FloatingPointError(f"training diverged: the loss of epoch {epoch}, "
                                          f"batch {start // config.batch_size} is not finite")
@@ -404,10 +392,7 @@ def train(dataset, config: TrainConfig):
 
 def _auc_ovr(scores: np.ndarray, positives: np.ndarray) -> float:
     """Mann-Whitney AUC of scores for positive vs negative samples."""
-    pos = scores[positives]
-    neg = scores[~positives]
-    if len(pos) == 0 or len(neg) == 0:
-        return math.nan
+    pos, neg = scores[positives], scores[~positives]
     # a tie group ending at 1-based rank `end` shares the rank (2 * end - count + 1) / 2
     _, group, counts = np.unique(
         np.concatenate([pos, neg]), return_inverse=True, return_counts=True
@@ -473,7 +458,7 @@ def save_checkpoint(directory, model: PHGModel, config: TrainConfig, stats: Norm
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "format": 3,
-        "config": {**asdict(config), "channels": list(config.channels)},
+        "config": asdict(config),
         "stats": {"mean": stats.mean.tolist(), "std": stats.std.tolist()},
     }
     with open(os.path.join(directory, "manifest.json"), "w") as f:

@@ -197,8 +197,9 @@ def global_avg_pool_forward(x: np.ndarray) -> np.ndarray:
 
 
 def global_avg_pool_backward(x_shape, dy: np.ndarray) -> np.ndarray:
+    """dx for global_avg_pool_forward, as a read-only broadcast view."""
     h, w, c = x_shape
-    return np.broadcast_to(dy / (h * w), (h, w, c)).copy()
+    return np.broadcast_to(dy / (h * w), (h, w, c))
 
 
 # -------------------------------------------------------------------- training

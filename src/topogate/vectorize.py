@@ -102,9 +102,6 @@ def persistence_image(diag: Diagram, spec: ImageGridSpec) -> np.ndarray:
     if spec.sigma <= 0:
         raise ValueError("sigma must be positive")
     b, d = _coords(diag)
-    out = np.zeros((spec.rows, spec.cols))
-    if len(b) == 0:
-        return out
     pers = d - b
     bs, ps = spec.centers()
     norm = 1.0 / (2.0 * np.pi * spec.sigma**2)

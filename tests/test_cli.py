@@ -393,9 +393,11 @@ def full_checkpoint(tmp_path_factory):
 @pytest.mark.parametrize("section,key,value", [
     ("config", "ratio", 0), ("config", "n_per_group", -3), ("config", "n_per_group", 1.5),
     ("config", "mode", "bogus"), ("config", "share_encoder", "no"), ("config", "lr", math.nan),
-    ("config", "seed", -1), ("stats", "mean", [math.nan, 0.0]), ("stats", "std", [0, -1]),
+    ("config", "seed", -1), ("config", "channels", [0, 0]), ("stats", "mean", [math.nan, 0.0]),
+    ("stats", "std", [0, -1]),
 ], ids=["ratio-0", "n-per-group-negative", "n-per-group-float", "mode-bogus",
-        "share-encoder-text", "lr-nan", "seed-negative", "mean-nan", "std-not-positive"])
+        "share-encoder-text", "lr-nan", "seed-negative", "channels-zero", "mean-nan",
+        "std-not-positive"])
 def test_eval_malformed_manifest_exits_1(tmp_path, full_checkpoint, capsys, section, key, value):
     """Each edit of one manifest value exits 1 naming the manifest, with no traceback."""
     data, run_dir = full_checkpoint

@@ -31,7 +31,8 @@ from topogate.pipeline import build_feature_dataset
 
 # one config value each that TrainConfig refuses: a rule, a type or a NaN
 BAD_CONFIG_VALUES = [("ratio", 0), ("n_per_group", -3), ("n_per_group", 1.5), ("mode", "bogus"),
-                     ("share_encoder", "no"), ("lr", math.nan), ("seed", -1), ("n_classes", 1)]
+                     ("share_encoder", "no"), ("lr", math.nan), ("seed", -1), ("n_classes", 1),
+                     ("channels", (0, 0)), ("m_dim", 0)]
 
 
 def _overwrite_param(blob, index, value):
@@ -45,6 +46,15 @@ def small_config(**kw):
     defaults = dict(channels=(4, 4), m_dim=8, n_per_group=4, n_classes=3, seed=1)
     defaults.update(kw)
     return TrainConfig(**defaults)
+
+
+def arrays_in(obj):
+    """Every ndarray in a nest of dicts, lists and tuples, such as a forward cache."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (dict, list, tuple)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from arrays_in(item)
 
 
 def random_features(rng, n_rows=8, n_real=5):
@@ -157,6 +167,24 @@ class TestForward:
         for name in sorted(grads):
             ref.check_gradient(lambda _: loss_of()[0][0], model.params[name], grads[name])
 
+    @pytest.mark.parametrize("kw", [
+        {}, {"share_encoder": False}, {"mode": "pd_only"}, {"mode": "vision_only"},
+    ], ids=["full", "unshared", "pd_only", "vision_only"])
+    def test_backward_returns_fresh_arrays(self, rng, kw):
+        """train sums a batch into the first sample's gradients in place, so no gradient
+        may share memory with another one, a parameter or the forward cache."""
+        model = init_model(small_config(**kw))
+        lv, lt, cache = forward(model, rng.random((8, 8)), random_features(rng))
+        _, dv, dt = total_loss(lv, lt, 1, 0.1)
+        grads = backward(model, cache, dv, dt)
+        assert set(grads) == set(model.params)
+        names = sorted(grads)
+        held = [*model.params.values(), *arrays_in(cache)]
+        assert len(held) > len(model.params)
+        for k, name in enumerate(names):
+            others = [grads[n] for n in names[k + 1 :]] + held
+            assert not any(np.shares_memory(grads[name], a) for a in others), name
+
     def test_vision_only_never_uses_phg(self, rng):
         model = init_model(TrainConfig(mode="vision_only"))
         assert not any(n.startswith(("enc", "gate", "thead")) for n in model.params)
@@ -253,9 +281,8 @@ class TestTraining:
         gate_forward = modelmod.gate_forward
 
         def ones_gate(t, params, prefix):
-            g, (mlp_cache, _) = gate_forward(t, params, prefix)
-            ones = np.ones_like(g)
-            return ones, (mlp_cache, ones)
+            g, mlp_cache = gate_forward(t, params, prefix)
+            return np.ones_like(g), mlp_cache
 
         monkeypatch.setattr(modelmod, "gate_forward", ones_gate)
         m1, _ = train(ds, fused)

@@ -118,7 +118,8 @@ class TestSilhouette:
 class TestPersistenceImage:
     def test_empty(self):
         spec = ImageGridSpec(4, 4, (0, 1), (0, 1), 0.1)
-        assert np.all(persistence_image(empty_diagram(), spec) == 0)
+        image = persistence_image(empty_diagram(), spec)
+        assert image.shape == (4, 4) and image.tobytes() == np.zeros((4, 4)).tobytes()
 
     def test_center_value(self):
         # single pixel centered on the point (birth 0, persistence 2)
