@@ -439,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # The rule each numeric flag's value must meet, by argparse dest, as (rule,
-# test of the parsed args), train's (and gen --seed's) being TrainConfig's rows.
+# test of the parsed args), train's (and gen --seed's) being TrainConfig's rows
+# and --sigma's the one persistence_image checks.
 # main checks the flags the command has before it runs, so a bad value exits 2
 # naming the flag and no file is written. Every float flag must also be finite:
 # inf passes a lower bound, and --min-pers, --finitize and --t-min have no rule.
@@ -448,7 +449,7 @@ _FLAG_RULES = {
     "n": (">= 1", lambda a: a.n >= 1),
     "size": (f">= {gridmod.MIN_SIZE}", lambda a: a.size >= gridmod.MIN_SIZE),
     "noise": (">= 0", lambda a: a.noise >= 0),
-    "sigma": ("> 0", lambda a: a.sigma > 0),
+    "sigma": vectorize.SIGMA_RULE,
     "power": (">= 0", lambda a: a.power >= 0),
     "levels": (">= 1", lambda a: a.levels >= 1),
     "samples": (">= 1", lambda a: a.samples >= 1),

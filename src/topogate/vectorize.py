@@ -8,6 +8,7 @@ convention [b, d), matching the sublevel oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,7 @@ import numpy as np
 from .diagram import Diagram
 
 __all__ = [
+    "SIGMA_RULE",
     "ImageGridSpec",
     "tent_values",
     "betti_curve",
@@ -22,6 +24,21 @@ __all__ = [
     "silhouette",
     "persistence_image",
 ]
+
+
+def _sigma_ok(spec) -> bool:
+    try:
+        inv2s2 = 1.0 / (2.0 * float(spec.sigma) ** 2)
+    except (OverflowError, ZeroDivisionError):  # sigma^2 overflows, or underflows to 0
+        return False
+    return spec.sigma > 0 and 0 < inv2s2 < math.inf
+
+
+# The rule a persistence image's sigma must meet, as (rule, test of an object
+# holding sigma); the CLI checks --sigma with it. A positive sigma below about
+# 1e-154 makes 1 / (2 sigma^2) overflow and the image NaN, one above 1e154
+# makes sigma^2 overflow.
+SIGMA_RULE = ("> 0, with 2 sigma^2 and its inverse finite", _sigma_ok)
 
 
 @dataclass(frozen=True)
@@ -99,8 +116,9 @@ def persistence_image(diag: Diagram, spec: ImageGridSpec) -> np.ndarray:
     Each point (b, d) contributes (d - b) * N((b, d - b), sigma^2 I) evaluated
     at pixel centers (normalized Gaussian density, linear persistence weight).
     """
-    if spec.sigma <= 0:
-        raise ValueError("sigma must be positive")
+    rule, ok = SIGMA_RULE
+    if not ok(spec):
+        raise ValueError(f"sigma {spec.sigma:g}: must be {rule}")
     b, d = _coords(diag)
     pers = d - b
     bs, ps = spec.centers()

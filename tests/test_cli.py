@@ -113,10 +113,11 @@ class TestVectorizeCmd:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("flag,value", [
-        ("--sigma", "0"), ("--sigma", "-2"), ("--power", "-1"), ("--levels", "0"),
+        ("--sigma", "0"), ("--sigma", "-2"), ("--sigma", "1e-160"), ("--sigma", "1e-200"),
+        ("--sigma", "1e200"), ("--power", "-1"), ("--levels", "0"),
         ("--samples", "0"), ("--resolution", "0"), ("--t-max", "-1"),
-    ], ids=["sigma-zero", "sigma-negative", "power-negative", "levels-zero", "samples-zero",
-            "resolution-zero", "t-max-below-t-min"])
+    ], ids=["sigma-zero", "sigma-negative", "sigma-tiny", "sigma-underflow", "sigma-overflow",
+            "power-negative", "levels-zero", "samples-zero", "resolution-zero", "t-max-below-t-min"])
     def test_bad_flag_value_usage_error(self, tmp_path, diagram_path, capsys, flag, value):
         method = {"--sigma": "pimage", "--power": "silhouette", "--levels": "landscape",
                   "--resolution": "pimage"}.get(flag, "betti")

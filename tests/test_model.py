@@ -1,5 +1,11 @@
+import ctypes
+import importlib
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import asdict, fields
@@ -8,6 +14,7 @@ import numpy as np
 import pytest
 
 import tinynn_reference as ref
+import topogate
 from topogate import model as modelmod
 from topogate import tinynn as nn
 from topogate.diagram import NormalizationStats
@@ -366,6 +373,50 @@ class TestTraining:
         bad = [(img, f, 7) for img, f, _ in ds]
         with pytest.raises(ValueError, match="label"):
             train(bad, small_config())
+
+
+# Trains a full-mode model on 8 images of 64x64 twice and prints the minor page
+# faults of the second run per sample-step (8 images x 2 epochs).
+TRAIN_FAULTS = """
+import resource
+from topogate.grid import generate_shapes
+from topogate.model import TrainConfig, train
+from topogate.pipeline import build_feature_dataset
+
+ds, _ = build_feature_dataset(generate_shapes(seed=3, n=8, size=64))
+cfg = TrainConfig(epochs=2, batch_size=4, seed=1)
+train(ds, cfg)
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train(ds, cfg)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0) / 16)
+"""
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt only")
+    def test_training_step_keeps_its_pages(self):
+        # a fresh interpreter, so that what earlier tests allocated cannot matter;
+        # under glibc's dynamic thresholds a step faults in 400-600 pages
+        src = os.path.dirname(os.path.dirname(topogate.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", TRAIN_FAULTS], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert float(out) < 20
+
+    @pytest.mark.parametrize("cdll", ["no-mallopt", "oserror"])
+    def test_import_without_mallopt(self, monkeypatch, cdll):
+        opened = []
+
+        def fake_cdll(name):
+            opened.append(name)
+            if cdll == "oserror":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        topogate._keep_freed_heap()
+        importlib.reload(topogate)
+        assert opened == [None, None]
 
 
 class TestEvaluate:

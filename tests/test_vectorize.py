@@ -135,8 +135,11 @@ class TestPersistenceImage:
         assert np.allclose(a, b, atol=1e-12)
 
     def test_sigma_guard(self):
-        with pytest.raises(ValueError):
-            persistence_image(empty_diagram(), ImageGridSpec(2, 2, (0, 1), (0, 1), 0))
+        # 1e-160 and 1e-200 are positive, but 1 / (2 sigma^2) is inf or a division by 0;
+        # 1e200 makes sigma^2 overflow
+        for sigma in (0, 1e-160, 1e-200, 1e200):
+            with pytest.raises(ValueError, match="sigma"):
+                persistence_image(diag_of((0, 2, 0)), ImageGridSpec(2, 2, (0, 1), (0, 1), sigma))
 
     def test_nonnegative(self, rng):
         pts = [(b, b + p, 0) for b, p in zip(rng.random(10), rng.random(10) + 0.05)]
