@@ -82,7 +82,11 @@ def cmd_vectorize(args) -> int:
         )
         name = f"pimage_res{args.resolution}_sigma{args.sigma:g}"
         header = [f"{name}_col{c}" for c in range(spec.cols)]
-        rows = vectorize.persistence_image(diag, spec)
+        try:
+            rows = vectorize.persistence_image(diag, spec)
+        except FloatingPointError as e:  # a tiny --sigma can pass its rule and still overflow
+            print(f"error: {args.diagram}: {e}; try a larger --sigma", file=sys.stderr)
+            return 2
     else:  # a curve: one row per grid value t
         t_grid = np.linspace(args.t_min, args.t_max, args.samples)
         if args.method == "betti":

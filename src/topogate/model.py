@@ -208,15 +208,22 @@ def encode_pd(features: np.ndarray, params: dict, prefix: str = "enc"):
     """Rowwise MLP (5 -> 64 -> 128 -> M) over the present rows, then a set max-pool.
 
     The presence column (index 4) keeps padded rows out of the MLP and the
-    pool; an all-padding input yields the zero vector. Exactly
-    permutation-invariant by construction (the pool tie-break is deterministic).
-    Returns (t, cache).
+    pool; an all-padding input yields the zero vector. A row equal to the row
+    before it is skipped: it can neither raise a column's max nor take its
+    first argmax. Exactly permutation-invariant by construction (the pool
+    tie-break is deterministic). Returns (t, cache); as t depends only on the
+    rows the pool picked, the cache holds each layer's (x, z) of those rows.
     """
     if features.shape[1] != FEATURE_WIDTH:
         raise ValueError(f"expected {FEATURE_WIDTH} features, got {features.shape[1]}")
-    rows = np.nonzero(features[:, 4] > 0.5)[0]
-    z, mlp_cache = _mlp_forward(params, _encoder_layers(prefix), features[rows])
+    x = features[features[:, 4] > 0.5]
+    keep = np.ones(len(x), dtype=bool)
+    np.any(x[1:] != x[:-1], axis=1, out=keep[1:])
+    z, mlp_cache = _mlp_forward(params, _encoder_layers(prefix), x[keep])
     t, argmax = nn.set_max_pool_forward(z)
+    if len(z):  # an all-padding pool has argmax -1 and no rows to pick
+        picked, argmax = np.unique(argmax, return_inverse=True)
+        mlp_cache = [(xl[picked], zl[picked]) for xl, zl in mlp_cache]
     return t, (mlp_cache, argmax)
 
 

@@ -186,8 +186,8 @@ def maxpool2x2_forward(x: np.ndarray):
 
 def maxpool2x2_backward(x_shape, argmax: np.ndarray, dy: np.ndarray) -> np.ndarray:
     h, w, c = x_shape
-    dwin = np.zeros((h // 2, w // 2, c, 4))
-    np.put_along_axis(dwin, argmax[..., None], dy[..., None], axis=3)
+    dwin = np.zeros(h * w * c)  # window k's four inputs sit at 4k .. 4k + 3
+    dwin[np.arange(0, dwin.size, 4) + argmax.ravel()] = dy.ravel()
     return dwin.reshape(h // 2, w // 2, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(h, w, c)
 
 

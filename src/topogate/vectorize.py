@@ -115,19 +115,25 @@ def persistence_image(diag: Diagram, spec: ImageGridSpec) -> np.ndarray:
 
     Each point (b, d) contributes (d - b) * N((b, d - b), sigma^2 I) evaluated
     at pixel centers (normalized Gaussian density, linear persistence weight).
+    Raises FloatingPointError when the image is not finite: a sigma that meets
+    SIGMA_RULE can still make 1 / (2 pi sigma^2) times a persistence overflow.
     """
     rule, ok = SIGMA_RULE
     if not ok(spec):
         raise ValueError(f"sigma {spec.sigma:g}: must be {rule}")
     b, d = _coords(diag)
-    pers = d - b
-    bs, ps = spec.centers()
-    norm = 1.0 / (2.0 * np.pi * spec.sigma**2)
-    inv2s2 = 1.0 / (2.0 * spec.sigma**2)
-    db2 = (bs[None, :] - b[:, None]) ** 2  # (n, cols)
-    dp2 = (ps[None, :] - pers[:, None]) ** 2  # (n, rows)
-    # separable Gaussian: sum_i w_i exp(-dp2_i) x exp(-db2_i)
-    gb = np.exp(-db2 * inv2s2)
-    gp = np.exp(-dp2 * inv2s2)
-    out = (pers[:, None, None] * gp[:, :, None] * gb[:, None, :]).sum(axis=0) * norm
+    # an exponent that overflows to -inf gives exp's limit, 0; a non-finite image raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pers = d - b
+        bs, ps = spec.centers()
+        norm = 1.0 / (2.0 * np.pi * spec.sigma**2)
+        inv2s2 = 1.0 / (2.0 * spec.sigma**2)
+        db2 = (bs[None, :] - b[:, None]) ** 2  # (n, cols)
+        dp2 = (ps[None, :] - pers[:, None]) ** 2  # (n, rows)
+        # separable Gaussian: sum_i w_i exp(-dp2_i) x exp(-db2_i)
+        gb = np.exp(-db2 * inv2s2)
+        gp = np.exp(-dp2 * inv2s2)
+        out = (pers[:, None, None] * gp[:, :, None] * gb[:, None, :]).sum(axis=0) * norm
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"sigma {spec.sigma:g}: the persistence image overflows float64")
     return out

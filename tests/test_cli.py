@@ -126,6 +126,24 @@ class TestVectorizeCmd:
                     flag, value, "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("resolution,code", [("4", 0), ("1", 2)], ids=["far", "overflow"])
+    def test_tiny_sigma(self, tmp_path, capsys, resolution, code):
+        """--sigma 1e-154 passes its rule: pixels far from the point read 0, and an image
+        that overflows float64 is a usage error naming the file and sigma, with no output."""
+        p, out = tmp_path / "d.json", tmp_path / "x.csv"
+        write_diagram(p, diagram_from_points([(50, 100, 0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["vectorize", "--diagram", str(p), "--method", "pimage", "--sigma", "1e-154",
+                        "--resolution", resolution, "--t-min", "0", "--t-max", "100",
+                        "--out", str(out)]) == code
+        if code:
+            err = capsys.readouterr().err
+            assert str(p) in err and "sigma 1e-154" in err and not out.exists()
+        else:
+            rows = out.read_text().splitlines()[1:]
+            assert len(rows) == 4 and {float(v) for r in rows for v in r.split(",")} == {0.0}
+
     def test_essential_point_rejected(self, tmp_path, capsys):
         p = tmp_path / "raw.json"
         write_diagram(p, diagram_from_points([(0, math.inf, 0), (10, 200, 1)]))

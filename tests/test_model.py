@@ -94,8 +94,61 @@ class TestEncodePd:
         row = np.array([[0.1, 0.9, 1.0, 0.0, 1.0]])
         t1, _ = encode_pd(row, model.params)
         t9, _ = encode_pd(np.tile(row, (9, 1)), model.params)
-        # BLAS may pick different kernels for 1-row vs 9-row matmuls
-        assert np.allclose(t1, t9, atol=1e-12, rtol=0)
+        assert t1.tobytes() == t9.tobytes()  # the MLP skips the repeated rows
+
+    @pytest.mark.parametrize("case", [
+        "adjacent-duplicates", "scattered-duplicates", "signed-zeros", "integer-ties",
+        "single-row", "all-padding", "permuted", "over-256-rows", "shapes-64", "over-384-rows",
+    ])
+    def test_matches_dense_reference(self, rng, case):
+        """Bitwise-equal t and gradients with the encoder of tests/tinynn_reference.py,
+        which runs on every present row and back-propagates a full-size pool gradient.
+
+        Past 384 present rows, more than 192 rows per group can give (the default is
+        150), OpenBLAS sums the reference's weight-gradient products over the rows in
+        two halves, so they round apart from the sum over the picked rows alone."""
+        feats = random_features(rng, 60, 40)
+        if case == "adjacent-duplicates":
+            feats = np.repeat(feats, rng.integers(1, 4, len(feats)), axis=0)
+        elif case == "scattered-duplicates":
+            feats = np.concatenate([feats, feats[rng.permutation(len(feats))], feats])
+        elif case == "signed-zeros":  # rows equal up to the sign of their zeros
+            feats[:, 0] = 0.0
+            flipped = np.where(feats == 0.0, -0.0, feats)
+            feats = np.stack([feats, flipped], axis=1).reshape(-1, 5)
+        elif case == "integer-ties":
+            feats[:, :2] = rng.integers(0, 3, (len(feats), 2))
+        elif case == "single-row":
+            feats = feats[feats[:, 4] > 0][:1]
+        elif case == "all-padding":
+            feats[:, 4] = 0.0
+        elif case == "permuted":
+            feats = np.repeat(feats, 2, axis=0)[rng.permutation(2 * len(feats))]
+        elif case == "over-256-rows":  # 300 present rows, as 2 groups of 150 can give
+            feats = np.repeat(random_features(rng, 200, 150), 2, axis=0)
+        elif case == "over-384-rows":
+            feats = np.repeat(random_features(rng, 320, 300), 2, axis=0)
+        else:  # the point features of 64x64 images at the default 150 rows per group
+            feats = build_feature_dataset(generate_shapes(seed=7, n=1, size=64), n_per_group=150)[0][0][1]
+            assert (feats[:, 4] > 0.5).sum() > 256
+        params = init_model(TrainConfig(mode="pd_only", seed=3)).params
+        layers = modelmod._encoder_layers("enc")
+        dt = rng.standard_normal(64)
+
+        t, (mlp_cache, argmax) = encode_pd(feats, params)
+        dz = nn.set_max_pool_backward(mlp_cache[-1][1].shape, argmax, dt)  # as model.backward
+        grads = modelmod._mlp_backward(params, layers, mlp_cache, dz)[1]
+        t0, cache0 = ref.encode_pd(feats, params)
+        grads0 = ref.encode_pd_backward(params, "enc", cache0, dt)
+        assert t.tobytes() == t0.tobytes()
+        assert sorted(grads) == sorted(grads0)
+        for name in grads:
+            if case == "over-384-rows":
+                np.testing.assert_allclose(grads[name], grads0[name], rtol=1e-12, atol=1e-15)
+            else:
+                assert grads[name].tobytes() == grads0[name].tobytes(), name
+        # the cache holds only the rows the pool picked
+        assert len(mlp_cache[0][0]) == len(np.unique(cache0[1][cache0[1] >= 0]))
 
 
 class TestGate:
@@ -277,6 +330,27 @@ def tiny_dataset(seed, n=18, size=32):
     return build_feature_dataset(samples, n_per_group=8)
 
 
+def assert_trains_as_reference(monkeypatch, ds, cfg):
+    """Byte-equal params and history when `train` runs the kernels and the dense
+    encoder of tests/tinynn_reference.py."""
+    runs = [train(ds, cfg)]
+    monkeypatch.setattr(nn, "linear_forward", ref.linear_forward)
+    monkeypatch.setattr(nn, "conv3x3_forward", ref.conv3x3_forward)
+    monkeypatch.setattr(nn, "conv3x3_backward", ref.conv3x3_backward)
+    monkeypatch.setattr(nn, "maxpool2x2_forward", ref.maxpool2x2_forward)
+    monkeypatch.setattr(nn, "maxpool2x2_backward", ref.maxpool2x2_backward)
+    monkeypatch.setattr(modelmod, "encode_pd", ref.encode_pd)
+    # the reference computes block 1's image gradient too, and drops it
+    monkeypatch.setattr(nn, "conv3x3_param_backward", lambda w, patches, dy: ref.conv3x3_backward(
+        np.empty(dy.shape[:2] + w.shape[1:2]), w, patches, dy)[1:])
+    runs.append(train(ds, cfg))
+    (m1, h1), (m2, h2) = runs
+    assert json.dumps(h1) == json.dumps(h2)
+    assert sorted(m1.params) == sorted(m2.params)
+    for name in m1.params:
+        assert m1.params[name].tobytes() == m2.params[name].tobytes(), name
+
+
 class TestTraining:
     def test_baseline_equivalence(self, monkeypatch):
         """alpha=0 with gates held at 1 reproduces the bare vision stub."""
@@ -304,20 +378,13 @@ class TestTraining:
         """Byte-equal params and history with the kernels of tests/tinynn_reference.py."""
         ds, _ = tiny_dataset(seed=14, n=9)
         cfg = small_config(epochs=2, lr=1e-2, batch_size=4, seed=2, n_per_group=8, **kw)
-        runs = [train(ds, cfg)]
-        monkeypatch.setattr(nn, "linear_forward", ref.linear_forward)
-        monkeypatch.setattr(nn, "conv3x3_forward", ref.conv3x3_forward)
-        monkeypatch.setattr(nn, "conv3x3_backward", ref.conv3x3_backward)
-        monkeypatch.setattr(nn, "maxpool2x2_forward", ref.maxpool2x2_forward)
-        # the reference computes block 1's image gradient too, and drops it
-        monkeypatch.setattr(nn, "conv3x3_param_backward", lambda w, patches, dy: ref.conv3x3_backward(
-            np.empty(dy.shape[:2] + w.shape[1:2]), w, patches, dy)[1:])
-        runs.append(train(ds, cfg))
-        (m1, h1), (m2, h2) = runs
-        assert json.dumps(h1) == json.dumps(h2)
-        assert sorted(m1.params) == sorted(m2.params)
-        for name in m1.params:
-            assert m1.params[name].tobytes() == m2.params[name].tobytes(), name
+        assert_trains_as_reference(monkeypatch, ds, cfg)
+
+    def test_training_matches_reference_kernels_at_default_sizes(self, monkeypatch):
+        """The same at the shapes `topogate train` runs: channels (16, 32), m_dim 64 and
+        150 rows per group, on 64x64 images."""
+        ds, _ = build_feature_dataset(generate_shapes(seed=14, n=8, size=64), n_per_group=150)
+        assert_trains_as_reference(monkeypatch, ds, TrainConfig(epochs=1, batch_size=4, seed=2))
 
     def test_training_determinism(self):
         ds, _ = tiny_dataset(seed=12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,18 @@ class TestPersistenceImage:
         for sigma in (0, 1e-160, 1e-200, 1e200):
             with pytest.raises(ValueError, match="sigma"):
                 persistence_image(diag_of((0, 2, 0)), ImageGridSpec(2, 2, (0, 1), (0, 1), sigma))
+
+    def test_tiny_sigma_finite_or_refused(self):
+        """sigma 1e-154 meets SIGMA_RULE. Away from the point the exponent overflows, and
+        the image is its limit, 0; on the point, 1 / (2 pi sigma^2) times the persistence
+        overflows, and the image is refused. Neither warns."""
+        point = diag_of((50, 100, 0))  # birth 50, persistence 50
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            far = persistence_image(point, ImageGridSpec(4, 4, (0, 100), (0, 100), 1e-154))
+            assert far.tobytes() == np.zeros((4, 4)).tobytes()
+            with pytest.raises(FloatingPointError, match="sigma 1e-154"):
+                persistence_image(point, ImageGridSpec(1, 1, (0, 100), (0, 100), 1e-154))
 
     def test_nonnegative(self, rng):
         pts = [(b, b + p, 0) for b, p in zip(rng.random(10), rng.random(10) + 0.05)]

@@ -1,14 +1,18 @@
 """Parity references for the linear, conv and max-pool kernels of
-``topogate.tinynn``, and the central finite-difference gradient checker the
-tests verify every backward with.
+``topogate.tinynn`` and for the PD encoder of ``topogate.model``, and the
+central finite-difference gradient checker the tests verify every backward
+with.
 
 These are the kernels the network was first written with: a linear layer
 that adds its bias into a second array, ``np.pad`` and a sliding-window copy
 for the im2col matrix, one conv backward that returns the input and the
-parameter gradients together, and a max-pool that transposes each window to
-the last axis and takes ``argmax``. The production kernels do the same
-arithmetic with fewer passes and temporaries, so the two must agree bit for
-bit.
+parameter gradients together, a max-pool that transposes each window to the
+last axis and takes ``argmax`` and whose backward scatters into that
+(..., 4) window array, and a dense PD encoder that runs its MLP on every
+present row and back-propagates a set-pool gradient of the full size. The
+production code does the same arithmetic with fewer passes, rows and
+temporaries, so the two must agree bit for bit (the encoder's gradients up to
+384 present rows, see ``test_model.py``).
 """
 
 import numpy as np
@@ -57,6 +61,49 @@ def maxpool2x2_forward(x: np.ndarray):
     arg = win.argmax(axis=3)
     y = np.take_along_axis(win, arg[..., None], axis=3)[..., 0]
     return y, arg
+
+
+def maxpool2x2_backward(x_shape, argmax: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    h, w, c = x_shape
+    dwin = np.zeros((h // 2, w // 2, c, 4))
+    np.put_along_axis(dwin, argmax[..., None], dy[..., None], axis=3)
+    return dwin.reshape(h // 2, w // 2, c, 2, 2).transpose(0, 3, 1, 4, 2).reshape(h, w, c)
+
+
+def encode_pd(features: np.ndarray, params: dict, prefix: str = "enc"):
+    """(t, cache) of the 5 -> 64 -> 128 -> M encoder over every present row.
+
+    The cache is ([(x, z) of each layer], argmax), with all present rows, in
+    the layout ``topogate.model.backward`` reads.
+    """
+    x = features[features[:, 4] > 0.5]
+    cache = []
+    for n in (1, 2, 3):
+        if cache:
+            x = np.maximum(z, 0.0)
+        z = linear_forward(x, params[f"{prefix}.l{n}.w"], params[f"{prefix}.l{n}.b"])
+        cache.append((x, z))
+    if not len(z):
+        return np.zeros(z.shape[1]), (cache, np.full(z.shape[1], -1))
+    argmax = z.argmax(axis=0)
+    return z[argmax, np.arange(z.shape[1])], (cache, argmax)
+
+
+def encode_pd_backward(params: dict, prefix: str, cache, dt: np.ndarray) -> dict:
+    """Gradients of encode_pd's parameters, from dt through a full-size set-pool gradient."""
+    layers, argmax = cache
+    dz = np.zeros(layers[-1][1].shape)
+    cols = np.nonzero(argmax >= 0)[0]
+    np.add.at(dz, (argmax[cols], cols), dt[cols])
+    grads = {}
+    for n in (3, 2, 1):
+        x, z = layers[n - 1]
+        if n < 3:
+            dz = dx * (z > 0.0)
+        w = params[f"{prefix}.l{n}.w"]
+        dx = dz @ w
+        grads[f"{prefix}.l{n}.w"], grads[f"{prefix}.l{n}.b"] = dz.T @ x, dz.sum(axis=0)
+    return grads
 
 
 def numerical_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
