@@ -77,6 +77,9 @@ def cmd_vectorize(args) -> int:
     if args.method == "pimage":
         lo = min([args.t_min] + diag.births.tolist())
         hi = max([args.t_max] + diag.deaths.tolist())
+        if not math.isfinite(hi - lo):
+            raise gridmod.FormatError(
+                f"{args.diagram}: the image spans {lo:g}..{hi:g}, wider than float64 holds")
         spec = vectorize.ImageGridSpec(
             args.resolution, args.resolution, (lo, hi), (0.0, hi - lo), args.sigma
         )
@@ -219,7 +222,7 @@ def cmd_eval(args) -> int:
         samples, stats=stats, n_per_group=config.n_per_group
     )
     try:
-        metrics = modelmod.evaluate(model, dataset, config.mode)
+        metrics = modelmod.evaluate(model, dataset)
     except FloatingPointError as e:  # finite parameters can still overflow float64
         print(f"error: {args.checkpoint}: {e}", file=sys.stderr)
         return 1
@@ -452,13 +455,14 @@ _FLAG_RULES = {
     **modelmod.CONFIG_RULES,
     "n": (">= 1", lambda a: a.n >= 1),
     "size": (f">= {gridmod.MIN_SIZE}", lambda a: a.size >= gridmod.MIN_SIZE),
-    "noise": (">= 0", lambda a: a.noise >= 0),
+    "noise": ("in 0..255", lambda a: 0 <= a.noise <= 255),  # pixels are clipped to 0..255
     "sigma": vectorize.SIGMA_RULE,
     "power": (">= 0", lambda a: a.power >= 0),
     "levels": (">= 1", lambda a: a.levels >= 1),
     "samples": (">= 1", lambda a: a.samples >= 1),
     "resolution": (">= 1", lambda a: a.resolution >= 1),
-    "t_max": ("> --t-min", lambda a: a.t_max > a.t_min),
+    "t_max": ("> --t-min, with --t-max - --t-min finite",
+              lambda a: a.t_max > a.t_min and math.isfinite(a.t_max - a.t_min)),
 }
 
 
@@ -471,9 +475,9 @@ def main(argv=None) -> int:
     broken += [(d, rule) for d, (rule, ok) in _FLAG_RULES.items() if d in args and not ok(args)]
     if broken:
         dest, rule = broken[0]
-        flag = "--" + dest.replace("_", "-")
-        print(f"error: {args.command} {flag} {getattr(args, dest):g}: must be {rule}",
-              file=sys.stderr)
+        flag, value = "--" + dest.replace("_", "-"), getattr(args, dest)
+        shown = f"{value:g}" if isinstance(value, float) else value  # an int prints exactly
+        print(f"error: {args.command} {flag} {shown}: must be {rule}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -205,8 +205,8 @@ def read_diagram(path) -> Diagram:
 
     Raises FormatError naming the file unless it is JSON with a
     "points" list of objects, each with a finite numeric "birth", a finite
-    numeric "death" above it (null for an essential point) and a "dim" of 0
-    or 1.
+    numeric "death" above it (null for an essential point) with a finite
+    persistence death - birth, and a "dim" of 0 or 1.
     """
     payload = read_json(path)
     if not isinstance(payload, dict) or "points" not in payload:
@@ -224,8 +224,8 @@ def read_diagram(path) -> Diagram:
         if not all(_number(x) and _finite(x) for x in ([b] if d is None else [b, d])):
             raise FormatError(f"{path}: point {i} has a non-numeric or non-finite coordinate")
         e = bool(p.get("essential", d is None))
-        if not e and d is not None and d <= b:
-            raise FormatError(f"{path}: death {d} <= birth {b}")
+        if not e and d is not None and not (d > b and _finite(d - b)):
+            raise FormatError(f"{path}: point {i}: death {d} - birth {b} must be > 0 and finite")
         if e != (d is None):
             raise FormatError(f"{path}: essential flag inconsistent with death field")
         if isinstance(k, bool) or k not in (0, 1):

@@ -410,12 +410,17 @@ def _auc_ovr(scores: np.ndarray, positives: np.ndarray) -> float:
     return float(u / (len(pos) * len(neg)))
 
 
-def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
+def evaluate(model: PHGModel, dataset, mode: str | None = None) -> dict:
     """Accuracy plus one-vs-rest AUC/sensitivity/specificity class averages.
 
-    The vision logits are scored, or the topological ones in `pd_only` mode.
+    The model picks the head: its vision logits when it holds the vision stub,
+    else its topological ones. `mode` selects nothing: if given, it must be
+    "pd_only" exactly when the model lacks the stub, else ValueError.
     Raises FloatingPointError when a sample's logits are not finite.
     """
+    head = 0 if "vhead.w" in model.params else 1
+    if mode is not None and mode not in (("pd_only",) if head else ("full", "vision_only")):
+        raise ValueError(f"mode {mode!r} does not match a model {'without' if head else 'with'} vhead")
     if not dataset:
         raise ValueError("empty evaluation dataset")
     k = model.n_classes
@@ -425,7 +430,7 @@ def evaluate(model: PHGModel, dataset, mode: str = "full") -> dict:
         # indexing drops each forward's cache before the next forward runs
         img = np.asarray(image, dtype=np.float64) / 255.0
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite logits raise below
-            logits = forward(model, img, features)[1 if mode == "pd_only" else 0]
+            logits = forward(model, img, features)[head]
         if not np.isfinite(logits).all():
             raise FloatingPointError(f"the model's logits for sample {i} are not finite")
         probs[i] = nn.softmax(logits)

@@ -190,16 +190,16 @@ def test_criterion_7_synthetic_topology_task(synthetic_split):
 
     cfg = TrainConfig(mode="pd_only", epochs=20, lr=3e-3, batch_size=16, seed=0, n_classes=3)
     model, _ = train(ds_tr, cfg)
-    pd_acc = evaluate(model, ds_te, "pd_only")["accuracy"]
+    pd_acc = evaluate(model, ds_te)["accuracy"]
     assert pd_acc >= 0.90
 
     fused_accs, plain_accs = [], []
     for seed in range(5):
-        for mode, phg, accs in [("full", True, fused_accs), ("vision_only", False, plain_accs)]:
-            cfg = TrainConfig(mode=mode, use_phg=phg, epochs=10, lr=3e-3,
+        for mode, accs in [("full", fused_accs), ("vision_only", plain_accs)]:
+            cfg = TrainConfig(mode=mode, epochs=10, lr=3e-3,
                               batch_size=16, seed=seed, n_classes=3)
             model, _ = train(ds_tr, cfg)
-            accs.append(evaluate(model, ds_te, mode)["accuracy"])
+            accs.append(evaluate(model, ds_te)["accuracy"])
     elapsed = time.perf_counter() - t0
     assert np.mean(fused_accs) >= np.mean(plain_accs)
     report(

@@ -144,6 +144,23 @@ class TestVectorizeCmd:
             rows = out.read_text().splitlines()[1:]
             assert len(rows) == 4 and {float(v) for r in rows for v in r.split(",")} == {0.0}
 
+    @pytest.mark.parametrize("points,flags,code,says", [
+        ([(50, 100, 0)], ["--method", "landscape", "--t-min=-1e308", "--t-max=1e308",
+                          "--samples", "4"], 2, "--t-max 1e+308: must be"),
+        ([(-1e308, 1e308, 0)], ["--method", "silhouette"], 1, "death 1e+308 - birth -1e+308"),
+        ([(-1e308, 1e308, 0)], ["--method", "pimage"], 1, "death 1e+308 - birth -1e+308"),
+        ([(-1e308, -9e307, 0), (9e307, 1e308, 1)], ["--method", "pimage"], 1,
+         "spans -1e+308..1e+308"),
+    ], ids=["t-range", "persistence-silhouette", "persistence-pimage", "pimage-span"])
+    def test_overflowing_range_refused(self, tmp_path, capsys, points, flags, code, says):
+        """Finite inputs whose width overflows float64 exit with an error naming the
+        flag or the diagram, with no CSV written."""
+        p, out = tmp_path / "d.json", tmp_path / "x.csv"
+        write_diagram(p, diagram_from_points(points))
+        assert run(["vectorize", "--diagram", str(p), *flags, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert says in err and (code == 2 or str(p) in err) and not out.exists()
+
     def test_essential_point_rejected(self, tmp_path, capsys):
         p = tmp_path / "raw.json"
         write_diagram(p, diagram_from_points([(0, math.inf, 0), (10, 200, 1)]))
@@ -193,8 +210,10 @@ class TestGen:
         assert "--size 16" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [
-        ("--n", "-2"), ("--n", "0"), ("--noise", "-5"), ("--seed", "-1"),
-    ], ids=["n-negative", "n-zero", "noise-negative", "seed-negative"])
+        ("--n", "-2"), ("--n", "0"), ("--noise", "-5"), ("--noise", "256"),
+        ("--noise", "100000000000000000000"), ("--seed", "-1"),
+    ], ids=["n-negative", "n-zero", "noise-negative", "noise-above-255", "noise-above-int64",
+            "seed-negative"])
     def test_bad_flag_value_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "g"  # the last --n given wins
         assert run(["gen", "--seed", "1", "--n", "3", "--out", str(out), flag, value]) == 2

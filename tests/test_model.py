@@ -493,11 +493,41 @@ class TestEvaluate:
         ds, _ = tiny_dataset(seed=15, n=18)
         cfg = small_config(mode="pd_only", m_dim=32, epochs=40, lr=1e-2, batch_size=4, n_per_group=8)
         model, _ = train(ds, cfg)
-        metrics = evaluate(model, ds, "pd_only")
+        metrics = evaluate(model, ds)
         assert metrics["accuracy"] == 1.0
         assert metrics["sensitivity"] == 1.0
         assert metrics["specificity"] == 1.0
         assert metrics["auc"] == 1.0
+
+    @pytest.mark.parametrize("mode,share", [
+        ("full", True), ("full", False), ("vision_only", True), ("pd_only", True),
+    ], ids=["full", "full-unshared", "vision_only", "pd_only"])
+    def test_scores_the_head_the_model_holds(self, rng, mode, share):
+        """With no mode, evaluate scores the vision head when the model holds one, else
+        the topological head, as the model's mode did; every agreeing mode changes nothing."""
+        model = init_model(small_config(mode=mode, share_encoder=share))
+        ds = [(rng.integers(0, 256, (8, 8)).astype(np.uint8), random_features(rng), i % 3)
+              for i in range(12)]
+        metrics = evaluate(model, ds)
+        agreeing = ["pd_only"] if mode == "pd_only" else ["full", "vision_only"]
+        assert all(evaluate(model, ds, m) == metrics for m in agreeing)
+        # a constant held head predicts class 1 for all: the other head's logits vary
+        head = "thead.l2" if mode == "pd_only" else "vhead"
+        model.params[f"{head}.w"][:] = 0.0
+        model.params[f"{head}.b"][:] = np.eye(3)[1]
+        assert evaluate(model, ds) == pytest.approx(
+            {"accuracy": 1 / 3, "auc": 0.5, "sensitivity": 1 / 3, "specificity": 2 / 3})
+
+    @pytest.mark.parametrize("mode", ["full", "vision_only", "pd_only"])
+    def test_disagreeing_mode_rejected(self, rng, monkeypatch, mode):
+        model = init_model(small_config(mode=mode))
+        ds = [(rng.integers(0, 256, (8, 8)).astype(np.uint8), random_features(rng), i % 3)
+              for i in range(6)]
+        monkeypatch.setattr(modelmod, "forward", lambda *a: pytest.fail("forward ran"))
+        wrong = ["full", "vision_only"] if mode == "pd_only" else ["pd_only"]
+        for given in wrong + ["bogus"]:
+            with pytest.raises(ValueError, match=f"mode '{given}'"):
+                evaluate(model, ds, given)
 
     def test_constant_predictor_on_balanced_two_class(self, rng):
         model = init_model(small_config(n_classes=2, mode="vision_only"))
