@@ -69,39 +69,50 @@ def cmd_compute(args) -> int:
 
 # ------------------------------------------------------------------ vectorize
 
+# The most cells (2^24 float64 values are 128 MiB) of an array vectorize writes or
+# builds from one diagram, and of a gen image: --resolution and --size <= 4096.
+_MAX_CELLS = 1 << 24
+_MAX_SIDE = math.isqrt(_MAX_CELLS)
+
 
 def cmd_vectorize(args) -> int:
     diag = dg.read_diagram(args.diagram)
     if diag.essential.any():
         raise gridmod.FormatError(f"{args.diagram}: essential point; vectorize needs a finitized diagram")
-    if args.method == "pimage":
-        lo = min([args.t_min] + diag.births.tolist())
-        hi = max([args.t_max] + diag.deaths.tolist())
-        if not math.isfinite(hi - lo):
-            raise gridmod.FormatError(
-                f"{args.diagram}: the image spans {lo:g}..{hi:g}, wider than float64 holds")
-        spec = vectorize.ImageGridSpec(
-            args.resolution, args.resolution, (lo, hi), (0.0, hi - lo), args.sigma
-        )
-        name = f"pimage_res{args.resolution}_sigma{args.sigma:g}"
-        header = [f"{name}_col{c}" for c in range(spec.cols)]
-        try:
+    # the largest array a method builds: points x --samples tents, or points x 2 --resolution Gaussians
+    flag, width = ("--resolution", 2 * args.resolution) if args.method == "pimage" else ("--samples", args.samples)
+    if len(diag.births) * width > _MAX_CELLS:
+        print(f"error: {args.diagram}: {len(diag.births)} points x {width} is over {_MAX_CELLS} cells;"
+              f" try a smaller {flag}", file=sys.stderr)
+        return 2
+    try:
+        if args.method == "pimage":
+            lo = min([args.t_min] + diag.births.tolist())
+            hi = max([args.t_max] + diag.deaths.tolist())
+            if not math.isfinite(hi - lo):
+                raise gridmod.FormatError(
+                    f"{args.diagram}: the image spans {lo:g}..{hi:g}, wider than float64 holds")
+            spec = vectorize.ImageGridSpec(
+                args.resolution, args.resolution, (lo, hi), (0.0, hi - lo), args.sigma
+            )
+            name = f"pimage_res{args.resolution}_sigma{args.sigma:g}"
+            header = [f"{name}_col{c}" for c in range(spec.cols)]
             rows = vectorize.persistence_image(diag, spec)
-        except FloatingPointError as e:  # a tiny --sigma can pass its rule and still overflow
-            print(f"error: {args.diagram}: {e}; try a larger --sigma", file=sys.stderr)
-            return 2
-    else:  # a curve: one row per grid value t
-        t_grid = np.linspace(args.t_min, args.t_max, args.samples)
-        if args.method == "betti":
-            names, cols = ["betti"], [vectorize.betti_curve(diag, t_grid)]
-        elif args.method == "landscape":
-            ks = range(1, args.levels + 1)
-            names = [f"landscape_k{k}" for k in ks]
-            cols = [vectorize.landscape(diag, k, t_grid) for k in ks]
-        else:
-            names = [f"silhouette_p{args.power:g}"]
-            cols = [vectorize.silhouette(diag, args.power, t_grid)]
-        header, rows = ["t"] + names, np.column_stack([t_grid] + cols)
+        else:  # a curve: one row per grid value t
+            t_grid = np.linspace(args.t_min, args.t_max, args.samples)
+            if args.method == "betti":
+                names, cols = ["betti"], vectorize.betti_curve(diag, t_grid)
+            elif args.method == "landscape":
+                names = [f"landscape_k{k}" for k in range(1, args.levels + 1)]
+                cols = vectorize.landscapes(diag, args.levels, t_grid)
+            else:
+                names = [f"silhouette_p{args.power:g}"]
+                cols = vectorize.silhouette(diag, args.power, t_grid)
+            header, rows = ["t"] + names, np.column_stack([t_grid, cols])
+    except FloatingPointError as e:  # a tiny --sigma or a large --power can pass its rule and still overflow
+        hint = "a larger --sigma" if args.method == "pimage" else "a smaller --power"
+        print(f"error: {args.diagram}: {e}; try {hint}", file=sys.stderr)
+        return 2
     with open(args.out, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -447,20 +458,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 # The rule each numeric flag's value must meet, by argparse dest, as (rule,
 # test of the parsed args), train's (and gen --seed's) being TrainConfig's rows
-# and --sigma's the one persistence_image checks.
+# and --sigma's the one persistence_image checks. --samples (a t column and a
+# curve), --levels and --resolution keep the CSV within _MAX_CELLS cells.
 # main checks the flags the command has before it runs, so a bad value exits 2
 # naming the flag and no file is written. Every float flag must also be finite:
 # inf passes a lower bound, and --min-pers, --finitize and --t-min have no rule.
 _FLAG_RULES = {
     **modelmod.CONFIG_RULES,
     "n": (">= 1", lambda a: a.n >= 1),
-    "size": (f">= {gridmod.MIN_SIZE}", lambda a: a.size >= gridmod.MIN_SIZE),
+    "size": (f"in {gridmod.MIN_SIZE}..{_MAX_SIDE}", lambda a: gridmod.MIN_SIZE <= a.size <= _MAX_SIDE),
     "noise": ("in 0..255", lambda a: 0 <= a.noise <= 255),  # pixels are clipped to 0..255
     "sigma": vectorize.SIGMA_RULE,
     "power": (">= 0", lambda a: a.power >= 0),
-    "levels": (">= 1", lambda a: a.levels >= 1),
-    "samples": (">= 1", lambda a: a.samples >= 1),
-    "resolution": (">= 1", lambda a: a.resolution >= 1),
+    "samples": (f"in 1..{_MAX_CELLS // 2}", lambda a: 1 <= a.samples <= _MAX_CELLS // 2),
+    "levels": (f">= 1, with --samples x (--levels + 1) <= {_MAX_CELLS}",
+               lambda a: a.levels >= 1 and (a.method != "landscape" or a.samples * (a.levels + 1) <= _MAX_CELLS)),
+    "resolution": (f"in 1..{_MAX_SIDE}", lambda a: 1 <= a.resolution <= _MAX_SIDE),
     "t_max": ("> --t-min, with --t-max - --t-min finite",
               lambda a: a.t_max > a.t_min and math.isfinite(a.t_max - a.t_min)),
 }

@@ -52,7 +52,8 @@ CONFIG_RULES = {
     "alpha": (">= 0", lambda c: c.alpha >= 0),
     "batch_size": (">= 1", lambda c: c.batch_size >= 1),
     "seed": (">= 0", lambda c: c.seed >= 0),
-    "n_per_group": (">= 1", lambda c: c.n_per_group >= 1),
+    # a 256x256 image's diagram holds at most 65536 points in a group
+    "n_per_group": ("in 1..65536", lambda c: 1 <= c.n_per_group <= 65536),
     "ratio": (">= 1", lambda c: c.ratio >= 1),
     "m_dim": (">= 1", lambda c: c.m_dim >= 1),
     "channels": ("two ints, each >= 1",

@@ -20,7 +20,7 @@ __all__ = [
     "ImageGridSpec",
     "tent_values",
     "betti_curve",
-    "landscape",
+    "landscapes",
     "silhouette",
     "persistence_image",
 ]
@@ -83,31 +83,38 @@ def betti_curve(diag: Diagram, t_grid) -> np.ndarray:
     return ((b[:, None] <= t) & (t < d[:, None])).sum(axis=0).astype(np.float64)
 
 
-def landscape(diag: Diagram, k: int, t_grid) -> np.ndarray:
-    """k-th landscape: k-th largest tent value at each t (0 if fewer points)."""
-    if k < 1:
-        raise ValueError("landscape level k must be >= 1")
+def landscapes(diag: Diagram, levels: int, t_grid) -> np.ndarray:
+    """(len(t_grid), levels) matrix whose column k - 1 is the k-th landscape: the
+    k-th largest tent value at each t, 0 past the diagram's point count."""
+    if levels < 1:
+        raise ValueError("landscape levels must be >= 1")
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    b, d = _coords(diag)
-    if len(b) < k:
-        return np.zeros(len(t_grid))
-    tents = tent_values(b, d, t_grid)
-    # k-th largest along the point axis
-    part = np.partition(tents, len(b) - k, axis=0)[len(b) - k]
-    return part
+    tents = tent_values(*_coords(diag), t_grid)
+    tents.sort(axis=0)  # level k is row n - k
+    out = np.zeros((len(t_grid), levels))
+    out[:, : len(tents)] = tents[::-1][:levels].T  # min(n, levels) columns either side
+    return out
 
 
 def silhouette(diag: Diagram, p: float, t_grid) -> np.ndarray:
-    """Persistence-weighted average of tents, weights (d - b)^p."""
+    """Persistence-weighted average of tents, weights (d - b)^p.
+
+    Raises FloatingPointError when the weights' sum or the curve is not finite:
+    a large p makes (d - b)^p overflow float64, or underflow to 0 below d - b = 1.
+    """
     if p < 0:
         raise ValueError("silhouette power must be >= 0")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     b, d = _coords(diag)
     if len(b) == 0:
         return np.zeros(len(t_grid))
-    weights = (d - b) ** p
-    tents = tent_values(b, d, t_grid)
-    return weights @ tents / weights.sum()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        weights = (d - b) ** p
+        total = weights.sum()
+        out = weights @ tent_values(b, d, t_grid) / total
+    if not (np.isfinite(total) and np.isfinite(out).all()):
+        raise FloatingPointError(f"power {p:g}: the silhouette is not finite in float64")
+    return out
 
 
 def persistence_image(diag: Diagram, spec: ImageGridSpec) -> np.ndarray:
@@ -128,12 +135,10 @@ def persistence_image(diag: Diagram, spec: ImageGridSpec) -> np.ndarray:
         bs, ps = spec.centers()
         norm = 1.0 / (2.0 * np.pi * spec.sigma**2)
         inv2s2 = 1.0 / (2.0 * spec.sigma**2)
-        db2 = (bs[None, :] - b[:, None]) ** 2  # (n, cols)
-        dp2 = (ps[None, :] - pers[:, None]) ** 2  # (n, rows)
-        # separable Gaussian: sum_i w_i exp(-dp2_i) x exp(-db2_i)
-        gb = np.exp(-db2 * inv2s2)
-        gp = np.exp(-dp2 * inv2s2)
-        out = (pers[:, None, None] * gp[:, :, None] * gb[:, None, :]).sum(axis=0) * norm
+        # separable Gaussian, one product: sum_i pers_i gp_i (rows) x gb_i (cols)
+        gb = np.exp(-((bs[None, :] - b[:, None]) ** 2) * inv2s2)  # (n, cols)
+        gp = np.exp(-((ps[None, :] - pers[:, None]) ** 2) * inv2s2)  # (n, rows)
+        out = (gp * pers[:, None]).T @ gb * norm
     if not np.isfinite(out).all():
         raise FloatingPointError(f"sigma {spec.sigma:g}: the persistence image overflows float64")
     return out

@@ -30,7 +30,7 @@ from topogate.pipeline import build_feature_dataset
 from topogate.vectorize import (
     ImageGridSpec,
     betti_curve,
-    landscape,
+    landscapes,
     persistence_image,
     silhouette,
 )
@@ -160,9 +160,9 @@ def test_criterion_5_gradient_verification():
 def test_criterion_6_vectorizer_closed_forms():
     d = diagram_from_points([(0, 2, 0)])
     d2 = diagram_from_points([(0, 2, 0), (1, 3, 0)])
-    assert abs(landscape(d, 1, [1.0])[0] - 1.0) <= 1e-12
-    assert abs(landscape(d, 1, [0.5])[0] - 0.5) <= 1e-12
-    assert np.all(landscape(d, 2, np.linspace(0, 2, 16)) == 0)
+    assert abs(landscapes(d, 1, [1.0])[0, 0] - 1.0) <= 1e-12
+    assert abs(landscapes(d, 1, [0.5])[0, 0] - 0.5) <= 1e-12
+    assert np.all(landscapes(d, 2, np.linspace(0, 2, 16))[:, 1] == 0)
     assert abs(silhouette(d2, 1, [1.5])[0] - 0.5) <= 1e-12
     assert abs(betti_curve(d2, [1.5])[0] - 2) <= 1e-12
     assert abs(betti_curve(d2, [2.5])[0] - 1) <= 1e-12

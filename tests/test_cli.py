@@ -116,8 +116,10 @@ class TestVectorizeCmd:
         ("--sigma", "0"), ("--sigma", "-2"), ("--sigma", "1e-160"), ("--sigma", "1e-200"),
         ("--sigma", "1e200"), ("--power", "-1"), ("--levels", "0"),
         ("--samples", "0"), ("--resolution", "0"), ("--t-max", "-1"),
+        ("--levels", "100000000000"), ("--samples", "8388609"), ("--resolution", "4097"),
     ], ids=["sigma-zero", "sigma-negative", "sigma-tiny", "sigma-underflow", "sigma-overflow",
-            "power-negative", "levels-zero", "samples-zero", "resolution-zero", "t-max-below-t-min"])
+            "power-negative", "levels-zero", "samples-zero", "resolution-zero", "t-max-below-t-min",
+            "levels-over-cells", "samples-over-cells", "resolution-over-cells"])
     def test_bad_flag_value_usage_error(self, tmp_path, diagram_path, capsys, flag, value):
         method = {"--sigma": "pimage", "--power": "silhouette", "--levels": "landscape",
                   "--resolution": "pimage"}.get(flag, "betti")
@@ -160,6 +162,30 @@ class TestVectorizeCmd:
         assert run(["vectorize", "--diagram", str(p), *flags, "--out", str(out)]) == code
         err = capsys.readouterr().err
         assert says in err and (code == 2 or str(p) in err) and not out.exists()
+
+    @pytest.mark.parametrize("flags,flag", [
+        (["--method", "silhouette", "--samples", "10000"], "--samples"),
+        (["--method", "pimage", "--resolution", "4096"], "--resolution"),
+    ], ids=["tents", "gaussians"])
+    def test_diagram_matrix_over_cells_refused(self, tmp_path, capsys, flags, flag):
+        """3 000 points by 10 000 samples, or by 2 x 4096 pixel centres, is more than
+        2^24 cells: exit 2 naming the flag and the diagram, with no CSV written."""
+        p, out = tmp_path / "d.json", tmp_path / "x.csv"
+        write_diagram(p, diagram_from_points([(i % 200, i % 200 + 20, i % 2) for i in range(3000)]))
+        assert run(["vectorize", "--diagram", str(p), *flags, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and str(p) in err and not out.exists()
+
+    def test_silhouette_power_overflow_refused(self, tmp_path, diagram_path, capsys):
+        """100^1000 overflows float64: exit 2 naming --power and the diagram, with no
+        numpy warning and no CSV of NaN."""
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["vectorize", "--diagram", str(diagram_path), "--method", "silhouette",
+                        "--power", "1000", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--power" in err and str(diagram_path) in err and not out.exists()
 
     def test_essential_point_rejected(self, tmp_path, capsys):
         p = tmp_path / "raw.json"
@@ -211,9 +237,9 @@ class TestGen:
 
     @pytest.mark.parametrize("flag,value", [
         ("--n", "-2"), ("--n", "0"), ("--noise", "-5"), ("--noise", "256"),
-        ("--noise", "100000000000000000000"), ("--seed", "-1"),
+        ("--noise", "100000000000000000000"), ("--seed", "-1"), ("--size", "4097"),
     ], ids=["n-negative", "n-zero", "noise-negative", "noise-above-255", "noise-above-int64",
-            "seed-negative"])
+            "seed-negative", "size-over-cells"])
     def test_bad_flag_value_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "g"  # the last --n given wins
         assert run(["gen", "--seed", "1", "--n", "3", "--out", str(out), flag, value]) == 2
@@ -237,8 +263,9 @@ class TestTrainEval:
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", "0"), ("--batch-size", "0"), ("--ratio", "0"), ("--n-per-group", "-3"),
         ("--lr", "0"), ("--lr", "-0.1"), ("--alpha", "-1"), ("--seed", "-1"),
+        ("--n-per-group", "65537"),
     ], ids=["epochs-zero", "batch-size-zero", "ratio-zero", "n-per-group-negative",
-            "lr-zero", "lr-negative", "alpha-negative", "seed-negative"])
+            "lr-zero", "lr-negative", "alpha-negative", "seed-negative", "n-per-group-above-65536"])
     def test_bad_flag_value_usage_error(self, tmp_path, dataset_dir, capsys, flag, value):
         run_dir = tmp_path / "run"
         assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), flag, value]) == 2

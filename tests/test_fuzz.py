@@ -1,18 +1,27 @@
-"""Seeded mutation fuzz of every input reader, through the commands that read it.
+"""Seeded mutation fuzz of every input reader, through the commands that read it,
+and a fuzz of the numeric `vectorize` flags.
 
 Each reader's input is replaced by fixed edge cases (an empty file, the first
 line only, NUL bytes, a 1x1 image) and by seeded byte mutations of a valid
 file. Every run must return 0, 1 or 2 without an exception; exit 1 must name a
 path in the damaged file's directory, and exit 0 must leave only finite output.
+Each numeric `vectorize` flag is set to extreme values in a child process with
+a capped address space and a timeout, so a run that asks for unbounded work
+fails the test instead of the machine.
 """
 
+import os
 import re
+import resource
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import topogate
 from topogate.cli import main
 from topogate.model import load_checkpoint
 
@@ -125,3 +134,39 @@ def test_reader_fuzz(workspace, tmp_path, capsys, reader):
             shutil.rmtree(out)
     finally:
         target.write_bytes(original)
+
+
+# each numeric vectorize flag, with a method that reads it
+VECTORIZE_FLAGS = {"--samples": "silhouette", "--t-min": "pimage", "--t-max": "landscape",
+                   "--levels": "landscape", "--power": "silhouette", "--sigma": "pimage",
+                   "--resolution": "pimage"}
+EXTREMES = ["0", "-1", str(2**31), str(2**63), "1e308", "-1e308"]
+CHILD_ADDRESS_SPACE = 2 << 30  # bytes
+CHILD_SECONDS = 60
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("flag", sorted(VECTORIZE_FLAGS))
+def test_vectorize_flag_fuzz(workspace, tmp_path, flag):
+    """`topogate vectorize` with one flag at 0, -1, 2^31, 2^63 or +-1e308, each run in a
+    child process limited to 2 GiB of address space and 60 s: it exits 0, 1 or 2 with no
+    traceback and no numpy warning; exit 0 writes a finite CSV, any other exit none."""
+    env = {**os.environ, "PYTHONPATH": str(Path(topogate.__file__).parents[1])}
+    diagram, out = workspace / "diag" / "sample_00000.json", tmp_path / "v.csv"
+    for value in EXTREMES:
+        argv = ["vectorize", "--diagram", str(diagram), "--method", VECTORIZE_FLAGS[flag],
+                f"{flag}={value}", "--out", str(out)]
+        child = subprocess.run([sys.executable, "-m", "topogate.cli", *argv], env=env,
+                               capture_output=True, text=True, timeout=CHILD_SECONDS,
+                               preexec_fn=_cap_address_space)
+        case = (value, child.returncode, child.stderr[-2000:])
+        assert child.returncode in (0, 1, 2), case
+        assert "Traceback" not in child.stderr and "Warning" not in child.stderr, case
+        if child.returncode == 0:
+            assert not _NON_FINITE.search(out.read_text()), case
+            out.unlink()
+        else:
+            assert not out.exists(), case

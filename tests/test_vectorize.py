@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,13 +10,16 @@ from conftest import alive_counts, diagram_from_points, empty_diagram
 from grid_reference import betti_oracle, sublevel_mask
 from topogate.cubical import grid_persistence
 from topogate.diagram import Diagram, finitize
+from topogate.grid import generate_shapes
+from topogate.pipeline import preprocess_diagram
 from topogate.vectorize import (
     ImageGridSpec,
     betti_curve,
-    landscape,
+    landscapes,
     persistence_image,
     silhouette,
 )
+from vectorize_reference import landscape_level, persistence_image_sum
 
 
 def diag_of(*points):
@@ -31,13 +35,27 @@ finite_diagrams = st.lists(
 
 @pytest.mark.parametrize("vectorizer", [
     lambda d: betti_curve(d, [1.0]),
-    lambda d: landscape(d, 1, [1.0]),
+    lambda d: landscapes(d, 1, [1.0]),
     lambda d: silhouette(d, 1, [1.0]),
     lambda d: persistence_image(d, ImageGridSpec(2, 2, (0, 1), (0, 1), 0.5)),
 ], ids=["betti", "landscape", "silhouette", "pimage"])
 def test_nan_death_is_essential(vectorizer):
     with pytest.raises(ValueError, match="finitized"):
         vectorizer(Diagram(np.array([0.5]), np.array([np.nan]), np.array([0])))
+
+
+@pytest.fixture(scope="module")
+def shape_diagram():
+    """The diagram `compute` writes for the first 224x224 shape image of seed 11."""
+    d = preprocess_diagram(grid_persistence(generate_shapes(seed=11, n=1, size=224)[0].image))
+    assert len(d.births) >= 7000
+    return d
+
+
+def image_spec(diag, resolution):
+    """The grid `vectorize --method pimage` rasterizes at the default flags."""
+    lo, hi = min(0.0, diag.births.min()), max(255.0, diag.deaths.max())
+    return ImageGridSpec(resolution, resolution, (lo, hi), (0.0, hi - lo), 10.0)
 
 
 class TestBettiCurve:
@@ -68,28 +86,47 @@ class TestBettiCurve:
 class TestLandscape:
     def test_tent_peak_and_slope(self):
         d = diag_of((0, 2, 0))
-        assert landscape(d, 1, [1.0])[0] == 1.0
-        assert landscape(d, 1, [0.5])[0] == 0.5
+        assert landscapes(d, 1, [1.0])[0, 0] == 1.0
+        assert landscapes(d, 1, [0.5])[0, 0] == 0.5
 
     def test_second_level_zero_for_single_point(self):
-        assert np.all(landscape(diag_of((0, 2, 0)), 2, np.linspace(0, 2, 8)) == 0)
+        assert np.all(landscapes(diag_of((0, 2, 0)), 2, np.linspace(0, 2, 8))[:, 1] == 0)
 
     def test_multiset_duplicates_count(self):
-        assert landscape(diag_of((0, 2, 0), (0, 2, 0)), 2, [1.0])[0] == 1.0
+        assert landscapes(diag_of((0, 2, 0), (0, 2, 0)), 2, [1.0])[0, 1] == 1.0
+
+    def test_shape_and_level_guard(self):
+        assert landscapes(empty_diagram(), 3, [0.0, 1.0]).tobytes() == np.zeros((2, 3)).tobytes()
+        with pytest.raises(ValueError, match="levels"):
+            landscapes(diag_of((0, 2, 0)), 0, [1.0])
 
     @given(finite_diagrams, st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_levels_decreasing(self, d, k):
         t = np.linspace(0, 2, 32)
-        assert np.all(landscape(d, k, t) >= landscape(d, k + 1, t) - 1e-12)
+        levels = landscapes(d, k + 1, t)
+        assert np.all(levels[:, k - 1] >= levels[:, k] - 1e-12)
 
     @given(finite_diagrams)
     @settings(max_examples=60, deadline=None)
     def test_lipschitz(self, d):
         t = np.linspace(0, 2, 256)
-        vals = landscape(d, 1, t)
+        vals = landscapes(d, 1, t)[:, 0]
         step = t[1] - t[0]
         assert np.all(np.abs(np.diff(vals)) <= step + 1e-9)
+
+    @given(finite_diagrams, st.sampled_from([1, 5, 50]))
+    @settings(max_examples=60, deadline=None)
+    def test_one_sort_matches_partition(self, d, levels):
+        t = np.linspace(0, 2, 32)
+        expected = np.column_stack([landscape_level(d, k, t) for k in range(1, levels + 1)])
+        assert landscapes(d, levels, t).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("levels", [1, 5, 50])
+    def test_one_sort_matches_partition_on_shape(self, shape_diagram, levels):
+        t = np.linspace(0.0, 255.0, 64)
+        expected = np.column_stack([landscape_level(shape_diagram, k, t) for k in range(1, levels + 1)])
+        assert landscapes(shape_diagram, levels, t).tobytes() == expected.tobytes()
 
 
 class TestSilhouette:
@@ -115,6 +152,16 @@ class TestSilhouette:
         vals = silhouette(d, 1, t)
         step = t[1] - t[0]
         assert np.all(np.abs(np.diff(vals)) <= step + 1e-9)
+
+    @pytest.mark.parametrize("points", [[(0, 200, 0), (10, 50, 1)], [(0, 0.5, 0)]],
+                             ids=["weights-overflow", "weights-underflow"])
+    def test_power_not_finite_refused(self, points):
+        """200^1000 overflows float64 and 0.5^1100 underflows to 0, so the average is not
+        finite; silhouette raises, without a numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="power 1100"):
+                silhouette(diagram_from_points(points), 1100, np.linspace(0, 255, 8))
 
 
 class TestPersistenceImage:
@@ -155,6 +202,30 @@ class TestPersistenceImage:
             with pytest.raises(FloatingPointError, match="sigma 1e-154"):
                 persistence_image(point, ImageGridSpec(1, 1, (0, 100), (0, 100), 1e-154))
 
+    @given(finite_diagrams)
+    @settings(max_examples=60, deadline=None)
+    def test_product_matches_sum(self, d):
+        spec = ImageGridSpec(6, 5, (0, 1), (0, 1.2), 0.2)
+        expected = persistence_image_sum(d, spec)
+        assert np.abs(persistence_image(d, spec) - expected).max() <= 1e-12 * expected.max()
+
+    def test_product_matches_sum_on_shape(self, shape_diagram):
+        spec = image_spec(shape_diagram, 20)
+        expected = persistence_image_sum(shape_diagram, spec)
+        assert np.abs(persistence_image(shape_diagram, spec) - expected).max() <= 1e-12 * expected.max()
+
+    def test_peak_memory_is_two_factors(self, shape_diagram):
+        """At resolution 100 the image is one product of two (n, 100) factors; an (n, 100,
+        100) temporary of 7 000 points would take over 500 MiB."""
+        spec = image_spec(shape_diagram, 100)
+        tracemalloc.start()
+        try:
+            persistence_image(shape_diagram, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, peak
+
     def test_nonnegative(self, rng):
         pts = [(b, b + p, 0) for b, p in zip(rng.random(10), rng.random(10) + 0.05)]
         spec = ImageGridSpec(8, 8, (0, 1), (0, 1.2), 0.15)
@@ -171,6 +242,6 @@ class TestPermutationInvariance:
         t = np.linspace(0, 2, 32)
         spec = ImageGridSpec(6, 6, (0, 1), (0, 1.2), 0.2)
         assert np.allclose(betti_curve(a, t), betti_curve(b, t))
-        assert np.allclose(landscape(a, 2, t), landscape(b, 2, t))
+        assert np.allclose(landscapes(a, 2, t), landscapes(b, 2, t))
         assert np.allclose(silhouette(a, 1, t), silhouette(b, 1, t))
         assert np.allclose(persistence_image(a, spec), persistence_image(b, spec))
