@@ -70,7 +70,7 @@ def cmd_compute(args) -> int:
 # ------------------------------------------------------------------ vectorize
 
 # The most cells (2^24 float64 values are 128 MiB) of an array vectorize writes or
-# builds from one diagram, and of a gen image: --resolution and --size <= 4096.
+# builds from one diagram, and the most pixels gen draws: --resolution and --size <= 4096.
 _MAX_CELLS = 1 << 24
 _MAX_SIDE = math.isqrt(_MAX_CELLS)
 
@@ -359,7 +359,7 @@ def _read_history(path: str):
     history = gridmod.read_json(path)
     fields = ("epoch", "train_loss")
     if not isinstance(history, list) or not history or not all(
-        isinstance(h, dict) and all(dg._number(h.get(k)) and dg._finite(h[k]) for k in fields)
+        isinstance(h, dict) and all(gridmod.finite_number(h.get(k)) for k in fields)
         for h in history
     ):
         raise gridmod.FormatError(
@@ -370,12 +370,9 @@ def _read_history(path: str):
 
 
 def cmd_plot(args) -> int:
-    if [args.diagram, args.curve, args.history].count(None) != 2:
-        print("error: plot takes exactly one of --diagram/--curve/--history", file=sys.stderr)
-        return 2
-    if args.diagram:
+    if args.diagram is not None:  # argparse gave exactly one source, maybe an empty path
         _plot_diagram_svg(dg.read_diagram(args.diagram), args.out)
-    elif args.curve:
+    elif args.curve is not None:
         header, data = _read_curve_csv(args.curve)
         if header[0] == "t":
             cols = {name: data[:, i + 1] for i, name in enumerate(header[1:])}
@@ -448,9 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render diagrams, curves, or loss histories as SVG")
-    p.add_argument("--diagram")
-    p.add_argument("--curve")
-    p.add_argument("--history")
+    source = p.add_mutually_exclusive_group(required=True)
+    for flag in ("--diagram", "--curve", "--history"):
+        source.add_argument(flag)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_plot)
     return parser
@@ -465,8 +462,9 @@ def build_parser() -> argparse.ArgumentParser:
 # inf passes a lower bound, and --min-pers, --finitize and --t-min have no rule.
 _FLAG_RULES = {
     **modelmod.CONFIG_RULES,
-    "n": (">= 1", lambda a: a.n >= 1),
     "size": (f"in {gridmod.MIN_SIZE}..{_MAX_SIDE}", lambda a: gridmod.MIN_SIZE <= a.size <= _MAX_SIDE),
+    # generate_shapes holds every image before gen writes one; a bad --size is named first
+    "n": (f">= 1, with --n x --size^2 <= {_MAX_CELLS}", lambda a: a.n >= 1 and a.n * a.size**2 <= _MAX_CELLS),
     "noise": ("in 0..255", lambda a: 0 <= a.noise <= 255),  # pixels are clipped to 0..255
     "sigma": vectorize.SIGMA_RULE,
     "power": (">= 0", lambda a: a.power >= 0),

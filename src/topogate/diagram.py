@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FormatError, read_json
+from .grid import FormatError, finite_number, read_json
 
 __all__ = [
     "Diagram",
@@ -188,18 +188,6 @@ def write_diagram(path, diag: Diagram) -> None:
         f.write('{\n "points": ' + body + "\n}\n")
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """math.isfinite, also for a JSON integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def read_diagram(path) -> Diagram:
     """Read a diagram written by :func:`write_diagram`, enforcing invariants.
 
@@ -221,10 +209,10 @@ def read_diagram(path) -> Diagram:
         if missing:
             raise FormatError(f"{path}: point {i} lacks {', '.join(sorted(missing))}")
         b, d, k = p["birth"], p["death"], p["dim"]
-        if not all(_number(x) and _finite(x) for x in ([b] if d is None else [b, d])):
+        if not all(map(finite_number, [b] if d is None else [b, d])):
             raise FormatError(f"{path}: point {i} has a non-numeric or non-finite coordinate")
         e = bool(p.get("essential", d is None))
-        if not e and d is not None and not (d > b and _finite(d - b)):
+        if not e and d is not None and not (d > b and finite_number(d - b)):
             raise FormatError(f"{path}: point {i}: death {d} - birth {b} must be > 0 and finite")
         if e != (d is None):
             raise FormatError(f"{path}: essential flag inconsistent with death field")

@@ -1,10 +1,11 @@
 """Grayscale image grids: loading and saving, and synthetic shape datasets
 whose classes differ only in topology; FormatError, which every reader of an
-input file raises, and the JSON reader."""
+input file raises, the JSON reader and its finite-number check."""
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -13,6 +14,7 @@ import numpy as np
 __all__ = [
     "FormatError",
     "read_json",
+    "finite_number",
     "SyntheticSample",
     "load_pgm",
     "save_pgm",
@@ -37,6 +39,14 @@ def read_json(path):
             raise FormatError(f"{path}: not JSON: {e}") from None
 
 
+def finite_number(value) -> bool:
+    """Whether a JSON value is a finite number: not a bool, nor an integer too large for a float."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class SyntheticSample:
     """A generated image together with its class label."""
@@ -49,8 +59,8 @@ class SyntheticSample:
 _PGM_TOKEN = re.compile(rb"#[^\n\r]*|([^\s#]+)")
 
 
-def _read_pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], int]:
-    """Read `count` whitespace-separated tokens, skipping '#' comments.
+def _read_pgm_tokens(data: bytes, count: int, start: int, what: str) -> tuple[list[bytes], int]:
+    """Read `count` whitespace-separated tokens of `what`, skipping '#' comments.
 
     Returns the tokens and the position just past the last one.
     """
@@ -60,7 +70,7 @@ def _read_pgm_tokens(data: bytes, count: int, start: int) -> tuple[list[bytes], 
             tokens.append(match.group(1))
             if len(tokens) == count:
                 return tokens, match.end()
-    raise FormatError("truncated PGM header")
+    raise FormatError(f"truncated {what}")
 
 
 def load_pgm(path) -> np.ndarray:
@@ -73,7 +83,7 @@ def load_pgm(path) -> np.ndarray:
     if data[:2] not in (b"P2", b"P5"):
         raise FormatError(f"unsupported PGM magic {data[:2]!r}")
     magic = data[:2]
-    header, pos = _read_pgm_tokens(data, 3, 2)
+    header, pos = _read_pgm_tokens(data, 3, 2, "PGM header")
     try:
         width, height, maxval = (int(t) for t in header)
     except ValueError as e:
@@ -92,7 +102,7 @@ def load_pgm(path) -> np.ndarray:
             raise FormatError("truncated P5 payload")
         values = np.frombuffer(payload, dtype=np.uint8, count=npix)
     else:
-        tokens, _ = _read_pgm_tokens(data, npix, pos)
+        tokens, _ = _read_pgm_tokens(data, npix, pos, "P2 raster")
         try:
             values = np.array([int(t) for t in tokens], dtype=np.int64)
         except ValueError as e:

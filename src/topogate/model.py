@@ -7,8 +7,8 @@ decide what `forward` and `backward` run: `vision_only` holds the vision stub,
 `pd_only` the encoder and the topological head, and `full` both, joined by the
 gates. The PD encoding is computed once per sample. It gates both conv blocks,
 which `forward` runs in one loop and `backward` in the reversed loop, and it
-feeds the topological head. The encoder, the gates and the topological head
-are linear/relu stacks run by one private forward/backward pair.
+feeds the topological head. The encoder, the gates and both heads are
+linear/relu stacks run by one private forward/backward pair.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from dataclasses import InitVar, asdict, dataclass, fields
 import numpy as np
 
 from . import tinynn as nn
-from .diagram import DEFAULT_N_PER_GROUP, FEATURE_WIDTH, NormalizationStats, _finite, _number
-from .grid import FormatError, read_json
+from .diagram import DEFAULT_N_PER_GROUP, FEATURE_WIDTH, NormalizationStats
+from .grid import FormatError, finite_number, read_json
 
 __all__ = [
     "MODES",
@@ -47,7 +47,7 @@ MODES = ("full", "vision_only", "pd_only")
 # The rule a TrainConfig field must meet beyond its type, as (rule, test of an
 # object holding the field); the CLI checks its same-named train flags with them.
 CONFIG_RULES = {
-    "epochs": (">= 1", lambda c: c.epochs >= 1),
+    "epochs": ("in 1..1000", lambda c: 1 <= c.epochs <= 1000),
     "lr": ("> 0", lambda c: c.lr > 0),
     "alpha": (">= 0", lambda c: c.alpha >= 0),
     "batch_size": (">= 1", lambda c: c.batch_size >= 1),
@@ -89,7 +89,7 @@ class TrainConfig:
             typed = isinstance(v, (int, float) if kind is float else kind)  # a float may be an int
             if not typed or isinstance(v, bool) != (kind is bool):
                 raise ValueError(f"{f.name} {v!r}: must be of type {kind.__name__}")
-            if kind is float and not _finite(v):
+            if kind is float and not finite_number(v):
                 raise ValueError(f"{f.name} {v!r}: must be finite")
         for name, (rule, ok) in CONFIG_RULES.items():
             if not ok(self):
@@ -130,6 +130,7 @@ def _gate_layers(prefix: str) -> tuple[str, ...]:
     return f"{prefix}.reduce", f"{prefix}.expand"
 
 
+_VHEAD = ("vhead",)  # vision classifier head
 _THEAD = ("thead.l1", "thead.l2")  # topological classifier head
 
 
@@ -156,7 +157,7 @@ def init_model(config: TrainConfig) -> PHGModel:
         for n, (c_in, c_out) in enumerate(((1, c1), (c1, c2)), 1):
             params[f"conv{n}.w"] = nn.glorot_uniform(rng_v, 9 * c_in, 9 * c_out, (c_out, c_in, 3, 3))
             params[f"conv{n}.b"] = np.zeros(c_out)
-        _init_mlp(params, rng_v, ("vhead",), (c2, k))
+        _init_mlp(params, rng_v, _VHEAD, (c2, k))
 
     if topo:
         rng_e = np.random.default_rng([config.seed, 1])
@@ -255,8 +256,6 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray):
         for i in range(1 if model.share_encoder else 2):
             t, cache[f"enc_cache{i}"] = encode_pd(pd_features, p, model.encoder_prefix(i))
             ts.append(t)
-        if model.share_encoder:
-            ts.append(ts[0])
         logits_t, cache["topo"] = _mlp_forward(p, _THEAD, ts[0])
 
     if "vhead.w" in p:
@@ -266,12 +265,11 @@ def forward(model: PHGModel, image: np.ndarray, pd_features: np.ndarray):
             a = nn.relu_forward(y)
             g = None
             if ts:
-                g, cache[f"gate_cache{i}"] = gate_forward(ts[i], p, f"gate{i}")
+                g, cache[f"gate_cache{i}"] = gate_forward(ts[0 if model.share_encoder else i], p, f"gate{i}")
             # the channel gate broadcasts along both spatial axes
             h, arg = nn.maxpool2x2_forward(a if g is None else a * g)
             cache.update({f"a{n}": a, f"g{n}": g, f"patches{n}": patches, f"arg{n}": arg, f"p{n}": h})
-        cache["pooled"] = nn.global_avg_pool_forward(h)
-        logits_v = nn.linear_forward(cache["pooled"], p["vhead.w"], p["vhead.b"])
+        logits_v, cache["vision"] = _mlp_forward(p, _VHEAD, nn.global_avg_pool_forward(h))
     return logits_v, logits_t, cache
 
 
@@ -282,9 +280,7 @@ def backward(model: PHGModel, cache: dict, dlogits_v, dlogits_t) -> dict:
     dt_gates = []  # gate0's, then gate1's gradient of its PD encoding
 
     if "vhead.w" in p:
-        dpooled, grads["vhead.w"], grads["vhead.b"] = nn.linear_backward(
-            cache["pooled"], p["vhead.w"], dlogits_v
-        )
+        dpooled, grads = _mlp_backward(p, _VHEAD, cache["vision"], dlogits_v)
         dh = nn.global_avg_pool_backward(cache["p2"].shape, dpooled)
         for i, n in ((1, 2), (0, 1)):
             dag = nn.maxpool2x2_backward(cache[f"a{n}"].shape, cache[f"arg{n}"], dh)
@@ -323,14 +319,10 @@ def total_loss(logits_v, logits_t, label: int, alpha: float):
     A branch whose logits are None adds no term and gets a None gradient;
     without the vision branch, CE(topo) is the whole loss, at weight 1.
     """
-    if logits_v is None:
-        loss_t, dt = nn.softmax_cross_entropy(logits_t, label)
-        return loss_t, None, dt
-    loss_v, dv = nn.softmax_cross_entropy(logits_v, label)
-    if logits_t is None:
-        return loss_v, dv, None
-    loss_t, dt = nn.softmax_cross_entropy(logits_t, label)
-    return loss_v + alpha * loss_t, dv, alpha * dt
+    loss_v, dv = (0.0, None) if logits_v is None else nn.softmax_cross_entropy(logits_v, label)
+    loss_t, dt = (0.0, None) if logits_t is None else nn.softmax_cross_entropy(logits_t, label)
+    weight = 1.0 if logits_v is None else alpha
+    return loss_v + weight * loss_t, dv, None if dt is None else weight * dt
 
 
 # -------------------------------------------------------------------- training
@@ -509,7 +501,7 @@ def load_checkpoint(directory):
         got = sorted(cfg) if isinstance(cfg, dict) else type(cfg).__name__
         raise FormatError(f"{manifest_path}: config must hold TrainConfig's fields, got {got}")
     if not isinstance(stats, dict) or not all(
-        isinstance(v, list) and len(v) == 2 and all(_number(x) and _finite(x) for x in v)
+        isinstance(v, list) and len(v) == 2 and all(map(finite_number, v))
         for v in (stats.get("mean"), stats.get("std"))
     ) or min(stats["std"]) <= 0:
         raise FormatError(f"{manifest_path}: stats mean and std must each hold 2 numbers,"

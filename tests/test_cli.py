@@ -82,6 +82,18 @@ class TestCompute:
         assert capsys.readouterr().err == f"error: {src}: x.csv and x.pgm would both write x.json\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,error", [
+        ("P2\n0 2\n255\n", "bad PGM dimensions 0x2"),
+        ("P2\n2 1\n255\n7 x\n", "non-numeric P2 pixel"),
+        ("P2\n3 2\n255\n1 2 3 4\n", "truncated P2 raster"),
+    ], ids=["zero-width", "non-numeric-pixel", "truncated-raster"])
+    def test_malformed_pgm_names_file(self, tmp_path, capsys, text, error):
+        image, out = tmp_path / "t.pgm", tmp_path / "d"
+        image.write_text(text)
+        assert run(["compute", "--input", str(image), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {image}: {error}")
+        assert not (out / "t.json").exists()
+
     def test_roundtrip_preserves_diagram(self, tmp_path):
         d = diagram_from_points([(0, math.inf, 0), (10, 200, 1)])
         p = tmp_path / "x.json"
@@ -238,8 +250,9 @@ class TestGen:
     @pytest.mark.parametrize("flag,value", [
         ("--n", "-2"), ("--n", "0"), ("--noise", "-5"), ("--noise", "256"),
         ("--noise", "100000000000000000000"), ("--seed", "-1"), ("--size", "4097"),
+        ("--n", str(2**31)), ("--n", str(2**63)), ("--n", "4097"),
     ], ids=["n-negative", "n-zero", "noise-negative", "noise-above-255", "noise-above-int64",
-            "seed-negative", "size-over-cells"])
+            "seed-negative", "size-over-cells", "n-2^31", "n-2^63", "n-over-pixels"])
     def test_bad_flag_value_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "g"  # the last --n given wins
         assert run(["gen", "--seed", "1", "--n", "3", "--out", str(out), flag, value]) == 2
@@ -263,9 +276,11 @@ class TestTrainEval:
     @pytest.mark.parametrize("flag,value", [
         ("--epochs", "0"), ("--batch-size", "0"), ("--ratio", "0"), ("--n-per-group", "-3"),
         ("--lr", "0"), ("--lr", "-0.1"), ("--alpha", "-1"), ("--seed", "-1"),
-        ("--n-per-group", "65537"),
+        ("--n-per-group", "65537"), ("--epochs", "1001"), ("--epochs", str(2**31)),
+        ("--epochs", str(2**63)),
     ], ids=["epochs-zero", "batch-size-zero", "ratio-zero", "n-per-group-negative",
-            "lr-zero", "lr-negative", "alpha-negative", "seed-negative", "n-per-group-above-65536"])
+            "lr-zero", "lr-negative", "alpha-negative", "seed-negative", "n-per-group-above-65536",
+            "epochs-above-1000", "epochs-2^31", "epochs-2^63"])
     def test_bad_flag_value_usage_error(self, tmp_path, dataset_dir, capsys, flag, value):
         run_dir = tmp_path / "run"
         assert run(["train", "--data", str(dataset_dir), "--out", str(run_dir), flag, value]) == 2
@@ -545,6 +560,25 @@ class TestPlot:
             svgs.append(out.read_bytes())
         assert svgs[0] == svgs[1]
 
+    def test_pimage_heatmap_svg(self, tmp_path):
+        p, grid = tmp_path / "d.json", tmp_path / "pimage.csv"
+        write_diagram(p, diagram_from_points([(0, 100, 0), (50, 200, 1)]))
+        assert run(["vectorize", "--diagram", str(p), "--method", "pimage", "--resolution", "3",
+                    "--out", str(grid)]) == 0
+        svgs = []
+        for name in ("a.svg", "b.svg"):
+            out = tmp_path / name
+            assert run(["plot", "--curve", str(grid), "--out", str(out)]) == 0
+            svgs.append(out.read_text())
+        assert svgs[0] == svgs[1]
+        assert svgs[0].count("<rect") == 3 * 3 + 1  # one per cell, plus the background
+
+    @pytest.mark.parametrize("flag", ["--diagram", "--curve", "--history"])
+    def test_empty_source_path_names_no_file(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.svg"
+        assert run(["plot", flag, "", "--out", str(out)]) == 1
+        assert "No such file or directory" in capsys.readouterr().err and not out.exists()
+
     def test_history_plot(self, tmp_path):
         h = tmp_path / "history.json"
         h.write_text(json.dumps([{"epoch": 0, "train_loss": 1.0}, {"epoch": 1, "train_loss": 0.5}]))
@@ -580,11 +614,16 @@ class TestPlot:
         assert f"error: {src}: not UTF-8 text" in capsys.readouterr().err
 
     def test_no_source_is_usage_error(self, tmp_path):
-        assert run(["plot", "--out", str(tmp_path / "x.svg")]) == 2
+        out = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as exc:
+            run(["plot", "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
 
     def test_two_sources_is_usage_error(self, tmp_path, capsys):
         d, h, out = tmp_path / "d.json", tmp_path / "h.json", tmp_path / "x.svg"
         write_diagram(d, diagram_from_points([(10, 200, 1)]))
         h.write_text(json.dumps([{"epoch": 0, "train_loss": 1.0}]))
-        assert run(["plot", "--diagram", str(d), "--history", str(h), "--out", str(out)]) == 2
-        assert "exactly one of" in capsys.readouterr().err and not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            run(["plot", "--diagram", str(d), "--history", str(h), "--out", str(out)])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err and not out.exists()

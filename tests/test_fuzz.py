@@ -1,13 +1,13 @@
 """Seeded mutation fuzz of every input reader, through the commands that read it,
-and a fuzz of the numeric `vectorize` flags.
+and a fuzz of every command's numeric flags.
 
 Each reader's input is replaced by fixed edge cases (an empty file, the first
 line only, NUL bytes, a 1x1 image) and by seeded byte mutations of a valid
 file. Every run must return 0, 1 or 2 without an exception; exit 1 must name a
 path in the damaged file's directory, and exit 0 must leave only finite output.
-Each numeric `vectorize` flag is set to extreme values in a child process with
-a capped address space and a timeout, so a run that asks for unbounded work
-fails the test instead of the machine.
+Each numeric flag is set to extreme values in a child process with a capped
+address space and a timeout, so a run that asks for unbounded work fails the
+test instead of the machine.
 """
 
 import os
@@ -102,12 +102,11 @@ _NON_FINITE = re.compile(r"nan|inf", re.IGNORECASE)
 def assert_finite_output(out, stdout):
     """Printed figures and written text hold no NaN or infinity; a checkpoint loads."""
     assert not _NON_FINITE.search(stdout.split("\n", 1)[1])  # line 1 echoes the flags
-    if out.is_dir():
-        for path in out.rglob("*"):
-            if path.suffix in (".json", ".csv", ".svg"):
-                assert not _NON_FINITE.search(path.read_text()), path
-        if (out / "params.bin").exists():
-            load_checkpoint(out)
+    for path in out.rglob("*") if out.is_dir() else [out]:
+        if path.suffix in (".json", ".csv", ".svg"):
+            assert not _NON_FINITE.search(path.read_text()), path
+    if (out / "params.bin").exists():
+        load_checkpoint(out)
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -140,6 +139,12 @@ def test_reader_fuzz(workspace, tmp_path, capsys, reader):
 VECTORIZE_FLAGS = {"--samples": "silhouette", "--t-min": "pimage", "--t-max": "landscape",
                    "--levels": "landscape", "--power": "silhouette", "--sigma": "pimage",
                    "--resolution": "pimage"}
+OTHER_FLAGS = {"gen": ["--seed", "--n", "--size", "--noise"],
+               "compute": ["--min-pers", "--finitize"],
+               "train": ["--epochs", "--lr", "--alpha", "--batch-size", "--seed", "--n-per-group",
+                         "--ratio"]}
+# a vectorize flag's case is the flag alone, another command's "<command> <flag>"
+FLAG_CASES = sorted(VECTORIZE_FLAGS) + [f"{c} {f}" for c, flags in OTHER_FLAGS.items() for f in flags]
 EXTREMES = ["0", "-1", str(2**31), str(2**63), "1e308", "-1e308"]
 CHILD_ADDRESS_SPACE = 2 << 30  # bytes
 CHILD_SECONDS = 60
@@ -149,24 +154,40 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
 
 
-@pytest.mark.parametrize("flag", sorted(VECTORIZE_FLAGS))
-def test_vectorize_flag_fuzz(workspace, tmp_path, flag):
-    """`topogate vectorize` with one flag at 0, -1, 2^31, 2^63 or +-1e308, each run in a
-    child process limited to 2 GiB of address space and 60 s: it exits 0, 1 or 2 with no
-    traceback and no numpy warning; exit 0 writes a finite CSV, any other exit none."""
+def _flag_argv(ws, case, out):
+    """The command line of a FLAG_CASES case, but for its flag's value."""
+    command, flag = case.split() if " " in case else ("vectorize", case)
+    inputs = {
+        "vectorize": ["--diagram", str(ws / "diag" / "sample_00000.json"),
+                      "--method", VECTORIZE_FLAGS.get(flag)],
+        "gen": ["--seed", "1", "--n", "3", "--size", "32"],
+        "compute": ["--input", str(ws / "data")],
+        "train": ["--data", str(ws / "data"), *TRAIN],
+    }[command]
+    return [command, *inputs, "--out", str(out)], flag
+
+
+@pytest.mark.parametrize("case", FLAG_CASES)
+def test_vectorize_flag_fuzz(workspace, tmp_path, case):
+    """Each topogate command with one numeric flag at 0, -1, 2^31, 2^63 or +-1e308 (the
+    flag given last wins), each run in a child process limited to 2 GiB of address space
+    and 60 s: it exits 0, 1 or 2 with no traceback and no numpy warning; exit 0 writes
+    only finite output, any other exit writes no file."""
     env = {**os.environ, "PYTHONPATH": str(Path(topogate.__file__).parents[1])}
-    diagram, out = workspace / "diag" / "sample_00000.json", tmp_path / "v.csv"
+    out = tmp_path / ("v.csv" if " " not in case else "out")
+    argv, flag = _flag_argv(workspace, case, out)
     for value in EXTREMES:
-        argv = ["vectorize", "--diagram", str(diagram), "--method", VECTORIZE_FLAGS[flag],
-                f"{flag}={value}", "--out", str(out)]
-        child = subprocess.run([sys.executable, "-m", "topogate.cli", *argv], env=env,
-                               capture_output=True, text=True, timeout=CHILD_SECONDS,
+        child = subprocess.run([sys.executable, "-m", "topogate.cli", *argv, f"{flag}={value}"],
+                               env=env, capture_output=True, text=True, timeout=CHILD_SECONDS,
                                preexec_fn=_cap_address_space)
-        case = (value, child.returncode, child.stderr[-2000:])
-        assert child.returncode in (0, 1, 2), case
-        assert "Traceback" not in child.stderr and "Warning" not in child.stderr, case
-        if child.returncode == 0:
-            assert not _NON_FINITE.search(out.read_text()), case
-            out.unlink()
+        seen = (value, child.returncode, child.stderr[-2000:])
+        assert child.returncode in (0, 1, 2), seen
+        assert "Traceback" not in child.stderr and "Warning" not in child.stderr, seen
+        if child.returncode != 0:  # compute may have made its output directory, empty
+            assert not out.is_file() and not any(out.rglob("*")), seen
+            continue
+        assert_finite_output(out, child.stdout)
+        if out.is_dir():
+            shutil.rmtree(out)
         else:
-            assert not out.exists(), case
+            out.unlink()

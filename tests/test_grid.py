@@ -76,7 +76,7 @@ class TestLoadPgm:
         p.write_bytes(b"P2 2#width\n2 255#maxval\n1 2# first row\n\r3#x\n4\n")
         assert np.array_equal(load_pgm(p), [[1, 2], [3, 4]])
         p.write_bytes(b"P2\n2 2\n255\n1 2 # 3 4\n")
-        with pytest.raises(FormatError, match="truncated PGM header"):
+        with pytest.raises(FormatError, match="truncated P2 raster"):
             load_pgm(p)
 
     def test_save_load_roundtrip(self, tmp_path, rng):

@@ -39,7 +39,7 @@ from topogate.pipeline import build_feature_dataset
 # one config value each that TrainConfig refuses: a rule, a type or a NaN
 BAD_CONFIG_VALUES = [("ratio", 0), ("n_per_group", -3), ("n_per_group", 1.5), ("mode", "bogus"),
                      ("share_encoder", "no"), ("lr", math.nan), ("seed", -1), ("n_classes", 1),
-                     ("channels", (0, 0)), ("m_dim", 0), ("n_per_group", 65537)]
+                     ("channels", (0, 0)), ("m_dim", 0), ("n_per_group", 65537), ("epochs", 1001)]
 
 
 def _overwrite_param(blob, index, value):
@@ -319,6 +319,16 @@ class TestTotalLoss:
         loss, _, dt = total_loss(lv, lt, 1, 0.0)
         vision_loss, _ = nn.softmax_cross_entropy(lv, 1)
         assert loss == pytest.approx(vision_loss) and not dt.any()
+
+    def test_one_branch_is_its_cross_entropy(self, rng):
+        """A lone branch's loss and gradient are its cross-entropy's, bit for bit,
+        the topological one at weight 1 whatever alpha is."""
+        logits = rng.standard_normal(3)
+        ce, dce = nn.softmax_cross_entropy(logits, 1)
+        loss, dv, dt = total_loss(None, logits, 1, 0.1)
+        assert loss == ce and dv is None and np.array_equal(dt, dce)
+        loss, dv, dt = total_loss(logits, None, 1, 0.1)
+        assert loss == ce and np.array_equal(dv, dce) and dt is None
 
     def test_uniform_both_branches(self):
         loss, _, _ = total_loss(np.zeros(4), np.zeros(4), 2, 0.1)
