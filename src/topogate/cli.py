@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 
@@ -35,6 +36,26 @@ def _load_image(path: str) -> np.ndarray:
 # -------------------------------------------------------------------- compute
 
 
+def _compute_one(path: str, out_path: str, finitize: float, min_pers: float) -> str | None:
+    """Write one image's diagram; return its `error: <path>: <message>` line, or None."""
+    try:
+        diag = pipeline.preprocess_diagram(grid_persistence(_load_image(path)), finitize, min_pers)
+        dg.write_diagram(out_path, diag)
+    except Exception as e:  # per-file isolation: report, don't abort the batch
+        return f"error: {path}: {e}"
+    return None
+
+
+def _compute_share(jobs, finitize: float, min_pers: float) -> list[str | None]:
+    return [_compute_one(path, out_path, finitize, min_pers) for path, out_path in jobs]
+
+
+def _send_share(conn, jobs, finitize: float, min_pers: float) -> None:
+    """A forked child's work: compute its share and send the results back."""
+    conn.send(_compute_share(jobs, finitize, min_pers))
+    conn.close()
+
+
 def cmd_compute(args) -> int:
     if os.path.isdir(args.input):
         names = sorted(
@@ -52,17 +73,44 @@ def cmd_compute(args) -> int:
     else:
         inputs = [args.input]
     os.makedirs(args.out, exist_ok=True)
-    failures = 0
-    for path in inputs:
-        out_path = os.path.join(args.out, os.path.splitext(os.path.basename(path))[0] + ".json")
-        try:
-            diag = pipeline.preprocess_diagram(
-                grid_persistence(_load_image(path)), args.finitize, args.min_pers
-            )
-            dg.write_diagram(out_path, diag)
-        except Exception as e:  # per-file isolation: report, don't abort the batch
-            print(f"error: {path}: {e}", file=sys.stderr)
-            failures += 1
+    jobs = [(path, os.path.join(args.out, os.path.splitext(os.path.basename(path))[0] + ".json"))
+            for path in inputs]
+    # Input i goes to process i mod k: the calling process computes share 0 and
+    # one forked child each other share, so the usable CPUs work side by side.
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    k = min(len(jobs), len(affinity(0)) if affinity else 1)
+    shares = [jobs[j::k] for j in range(k)]
+    children = []
+    try:
+        if k > 1:
+            ctx = multiprocessing.get_context("fork")  # children start with numpy and topogate loaded
+            for share in shares[1:]:
+                recv_end, send_end = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_send_share, daemon=True,
+                                    args=(send_end, share, args.finitize, args.min_pers))
+                child.start()  # flushes stdout and stderr first, so no child repeats their buffers
+                send_end.close()  # so recv() sees EOF if the child dies
+                children.append((child, recv_end))
+        results = [_compute_share(shares[0], args.finitize, args.min_pers)]
+        for (child, recv_end), share in zip(children, shares[1:]):
+            try:
+                results.append(recv_end.recv())
+            except EOFError:  # killed (out of memory, a signal) before it sent: its share failed
+                child.join()
+                # "" counts a file as failed; the worker's line reports it
+                results.append([f"error: {args.input}: a compute worker for {len(share)} files"
+                                f" died (exit code {child.exitcode})"] + [""] * (len(share) - 1))
+            child.join()
+    finally:
+        for child, recv_end in children:
+            recv_end.close()
+            child.kill()  # nothing to do for a child already joined
+            child.join()
+    lines = [results[i % k][i // k] for i in range(len(jobs))]  # back in input order
+    failures = sum(line is not None for line in lines)
+    for line in lines:
+        if line:
+            print(line, file=sys.stderr)
     print(f"computed {len(inputs) - failures}/{len(inputs)} diagrams -> {args.out}")
     return 1 if failures else 0
 

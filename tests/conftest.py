@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -41,3 +42,15 @@ def alive_counts(diag: Diagram, tau: float) -> tuple[int, int]:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_process():
+    """A test that leaves a child process running fails; the child is killed
+    so that the tests after it do not see it."""
+    yield
+    leaked = multiprocessing.active_children()
+    for child in leaked:
+        child.kill()
+        child.join()
+    assert leaked == []

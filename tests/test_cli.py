@@ -4,12 +4,17 @@ import json
 import math
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from conftest import as_multiset, diagram_from_points, empty_diagram
+from topogate import cli
 from topogate import model as modelmod
 from topogate.cli import _FLAG_RULES, build_parser, main
 from topogate.diagram import read_diagram, write_diagram
@@ -46,14 +51,116 @@ class TestCompute:
         for n in names:
             assert (out1 / n).read_bytes() == (out2 / n).read_bytes()
 
-    def test_batch_failure_exit_code(self, tmp_path):
+    def test_batch_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "imgs"
         src.mkdir()
         save_pgm(src / "good.pgm", np.full((3, 3), 5, dtype=np.uint8))
         (src / "bad.pgm").write_text("P2\n1 1\n65535\n1\n")
+        # sorted: bad, cbad, dbad, good; with two processes cbad and good fall to the child
+        (src / "cbad.pgm").write_text("P2\n0 2\n255\n")
+        (src / "dbad.pgm").write_text("P2\n2 1\n255\n7 x\n")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         out = tmp_path / "d"
         assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
         assert (out / "good.json").exists() and not (out / "bad.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 3
+        assert err[0].startswith(f"error: {src / 'bad.pgm'}: ")
+        assert err[1] == f"error: {src / 'cbad.pgm'}: bad PGM dimensions 0x2"
+        assert err[2].startswith(f"error: {src / 'dbad.pgm'}: non-numeric P2 pixel")
+        assert not (out / "cbad.json").exists() and not (out / "dbad.json").exists()
+
+    @pytest.mark.parametrize("cpus", [None, {0}, {0, 1, 2}], ids=["affinity", "one-cpu", "three-cpus"])
+    def test_split_writes_per_file_bytes(self, tmp_path, monkeypatch, cpus):
+        """However the files are split between processes, each diagram is the
+        one a `compute` call on that file alone writes."""
+        src, each, out = tmp_path / "ds", tmp_path / "each", tmp_path / "all"
+        assert run(["gen", "--seed", "3", "--n", "5", "--size", "48", "--out", str(src)]) == 0
+        for name in sorted(os.listdir(src)):
+            if name.endswith(".pgm"):
+                assert run(["compute", "--input", str(src / name), "--out", str(each)]) == 0
+        if cpus is not None:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        assert run(["compute", "--input", str(src), "--out", str(out)]) == 0
+        names = sorted(os.listdir(each))
+        assert len(names) == 5 and sorted(os.listdir(out)) == names
+        for n in names:
+            assert (out / n).read_bytes() == (each / n).read_bytes()
+
+    @pytest.mark.parametrize("n,cpus", [(3, {0}), (1, {0, 1})], ids=["one-cpu", "one-file"])
+    def test_one_process_forks_nothing(self, tmp_path, monkeypatch, capsys, n, cpus):
+        src = tmp_path / "imgs"
+        src.mkdir()
+        for i in range(n):
+            save_pgm(src / f"x{i}.pgm", np.full((3, 3), 5 + i, dtype=np.uint8))
+
+        def no_fork(*args):
+            raise AssertionError("compute forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        monkeypatch.setattr(cli.multiprocessing, "get_context", no_fork)
+        assert run(["compute", "--input", str(src), "--out", str(tmp_path / "d")]) == 0
+        assert f"computed {n}/{n} diagrams" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("death,code", [
+        (lambda: os._exit(3), 3),
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -signal.SIGKILL),
+    ], ids=["exit", "sigkill"])
+    def test_dead_worker_fails_its_share(self, tmp_path, monkeypatch, capsys, death, code):
+        src, out = tmp_path / "imgs", tmp_path / "d"
+        src.mkdir()
+        for name in "abc":
+            save_pgm(src / f"{name}.pgm", np.full((3, 3), 5, dtype=np.uint8))
+        parent, compute_one = os.getpid(), cli._compute_one
+
+        def dies_in_child(*args):
+            if os.getpid() != parent:  # fork copied the patched module
+                death()
+            return compute_one(*args)
+
+        monkeypatch.setattr(cli, "_compute_one", dies_in_child)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert run(["compute", "--input", str(src), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {src}: a compute worker for 1 files died (exit code {code})\n"
+        assert f"computed 2/3 diagrams -> {out}" in captured.out
+        assert sorted(os.listdir(out)) == ["a.json", "c.json"]
+
+    def test_interrupt_stops_every_worker(self, tmp_path, monkeypatch):
+        """An exception out of the calling process's own share (Ctrl-C) kills
+        and reaps the children; the autouse fixture sees none left."""
+        src = tmp_path / "imgs"
+        src.mkdir()
+        for name in "abc":
+            save_pgm(src / f"{name}.pgm", np.full((3, 3), 5, dtype=np.uint8))
+        parent = os.getpid()
+
+        def slow_child_interrupted_parent(*args):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_compute_one", slow_child_interrupted_parent)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        t0 = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            run(["compute", "--input", str(src), "--out", str(tmp_path / "d")])
+        assert time.monotonic() - t0 < 10
+
+    def test_piped_stdout_prints_each_line_once(self, tmp_path, dataset_dir):
+        """Block-buffered stdout holds the config line when compute forks; no
+        child prints its copy of it or anything else."""
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        out = tmp_path / "d"
+        script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+                  "from topogate.cli import main; sys.exit(main(sys.argv[1:]))")
+        child = subprocess.run(
+            [sys.executable, "-c", script, "compute", "--input", str(dataset_dir), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        lines = child.stdout.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("config: ")
+        assert lines[1] == f"computed 6/6 diagrams -> {out}"
 
     def test_empty_csv_grid_says_only_its_error(self, tmp_path, capsys):
         grid = tmp_path / "empty.csv"
