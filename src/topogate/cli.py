@@ -148,6 +148,10 @@ def cmd_vectorize(args) -> int:
             rows = vectorize.persistence_image(diag, spec)
         else:  # a curve: one row per grid value t
             t_grid = np.linspace(args.t_min, args.t_max, args.samples)
+            if np.any(np.diff(t_grid) <= 0):  # float64 has fewer values than --samples in the range
+                print(f"error: vectorize --samples {args.samples}: the t grid over {args.t_min!r}..{args.t_max!r}"
+                      " does not rise at every step; try fewer --samples or a wider range", file=sys.stderr)
+                return 2
             if args.method == "betti":
                 names, cols = ["betti"], vectorize.betti_curve(diag, t_grid)
             elif args.method == "landscape":
@@ -172,34 +176,28 @@ def cmd_vectorize(args) -> int:
 # ------------------------------------------------------------------------ gen
 
 
-def _dataset_hash(directory: str, names: list[str]) -> str:
-    digest = hashlib.sha256()
-    for name in names:
-        with open(os.path.join(directory, name), "rb") as f:
-            digest.update(name.encode())
-            digest.update(f.read())
-    return digest.hexdigest()
-
-
 def cmd_gen(args) -> int:
     samples = gridmod.generate_shapes(args.seed, args.n, args.size, noise=args.noise)
     os.makedirs(args.out, exist_ok=True)
-    names = []
-    with open(os.path.join(args.out, "labels.csv"), "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["file", "label"])
-        for i, s in enumerate(samples):
-            name = f"sample_{i:05d}.pgm"
-            gridmod.save_pgm(os.path.join(args.out, name), s.image)
-            writer.writerow([name, s.label])
-            names.append(name)
+    digest = hashlib.sha256()  # the dataset hash: each file's name and bytes as written, labels.csv last
+    rows = ["file,label"]  # no field gen writes needs quoting
+    for i, s in enumerate(samples):
+        name = f"sample_{i:05d}.pgm"
+        digest.update(name.encode())
+        digest.update(gridmod.save_pgm(os.path.join(args.out, name), s.image))
+        rows.append(f"{name},{s.label}")
+    labels = "".join(row + "\r\n" for row in rows).encode()  # csv's default line ends
+    with open(os.path.join(args.out, "labels.csv"), "wb") as f:
+        f.write(labels)
+    digest.update(b"labels.csv")
+    digest.update(labels)
     manifest = {
         "seed": args.seed,
         "n": args.n,
         "size": args.size,
         "noise": args.noise,
         "classes": list(gridmod.SHAPE_CLASSES),
-        "dataset_hash": _dataset_hash(args.out, names + ["labels.csv"]),
+        "dataset_hash": digest.hexdigest(),
     }
     with open(os.path.join(args.out, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)

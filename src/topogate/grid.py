@@ -112,13 +112,14 @@ def load_pgm(path) -> np.ndarray:
     return values.astype(np.uint8, copy=False).reshape(height, width)
 
 
-def save_pgm(path, grid: np.ndarray) -> None:
-    """Write a (h, w) uint8 array as a binary (P5) PGM file."""
+def save_pgm(path, grid: np.ndarray) -> bytes:
+    """Write a (h, w) uint8 array as a binary (P5) PGM file; return the bytes written."""
     grid = np.asarray(grid, dtype=np.uint8)
     h, w = grid.shape
+    data = b"P5\n%d %d\n255\n" % (w, h) + grid.tobytes()
     with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (w, h))
-        f.write(grid.tobytes())
+        f.write(data)
+    return data
 
 
 def load_csv_grid(path) -> np.ndarray:
@@ -146,7 +147,7 @@ _BACKGROUND = 215
 
 
 def _disk_mask(size: int, cy: float, cx: float, radius: float) -> np.ndarray:
-    yy, xx = np.mgrid[0:size, 0:size]
+    yy, xx = np.ogrid[0:size, 0:size]  # a column and a row, broadcast to one plane
     return (yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2
 
 
@@ -173,7 +174,6 @@ def generate_shapes(
         kind = SHAPE_CLASSES[label]
         base_r = rng.uniform(0.14, 0.18) * size
         margin = base_r * 1.5 + 2
-        fg = np.zeros((size, size), dtype=bool)
         if kind == "disk":
             cy = rng.uniform(margin, size - margin)
             cx = rng.uniform(margin, size - margin)
@@ -194,9 +194,10 @@ def generate_shapes(
                 if (cy1 - cy2) ** 2 + (cx1 - cx2) ** 2 >= (2 * r2 + 3) ** 2:
                     break
             fg = _disk_mask(size, cy1, cx1, r2) | _disk_mask(size, cy2, cx2, r2)
-        image = np.where(fg, _FOREGROUND, _BACKGROUND).astype(np.int64)
+        # np.where's default integer holds -215..470, so noise is added and clipped in place
+        image = np.where(fg, _FOREGROUND, _BACKGROUND)
         if noise:
             image += rng.integers(-noise, noise + 1, size=image.shape)
-        image = np.clip(image, 0, 255).astype(np.uint8)
+        image = np.clip(image, 0, 255, out=image).astype(np.uint8)
         samples.append(SyntheticSample(image=image, label=label))
     return samples

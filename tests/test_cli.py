@@ -272,10 +272,15 @@ class TestVectorizeCmd:
         ([(-1e308, 1e308, 0)], ["--method", "pimage"], 1, "death 1e+308 - birth -1e+308"),
         ([(-1e308, -9e307, 0), (9e307, 1e308, 1)], ["--method", "pimage"], 1,
          "spans -1e+308..1e+308"),
-    ], ids=["t-range", "persistence-silhouette", "persistence-pimage", "pimage-span"])
+        *[([(50, 100, 0)], ["--method", method, "--t-min", "1e15", "--t-max", "1000000000000001",
+                            "--samples", "100"], 2, "--samples 100")
+          for method in ("betti", "landscape", "silhouette")],
+    ], ids=["t-range", "persistence-silhouette", "persistence-pimage", "pimage-span",
+            "t-grid-betti", "t-grid-landscape", "t-grid-silhouette"])
     def test_overflowing_range_refused(self, tmp_path, capsys, points, flags, code, says):
-        """Finite inputs whose width overflows float64 exit with an error naming the
-        flag or the diagram, with no CSV written."""
+        """Finite inputs whose width overflows float64, or a t grid with fewer float64
+        values than samples, exit with an error naming the flag or the diagram, with no
+        CSV written."""
         p, out = tmp_path / "d.json", tmp_path / "x.csv"
         write_diagram(p, diagram_from_points(points))
         assert run(["vectorize", "--diagram", str(p), *flags, "--out", str(out)]) == code
@@ -340,6 +345,19 @@ class TestGen:
             assert run(["gen", "--seed", "9", "--n", "4", "--out", str(out)]) == 0
             h.append(json.loads((out / "manifest.json").read_text())["dataset_hash"])
         assert h[0] == h[1]
+
+    @pytest.mark.parametrize("flags,dataset_hash", [
+        ("--seed 0 --n 7 --size 32", "9c096d44b766be21c1b13e665ef3e400cce9e552bee4c60aed74c61dc4ef6889"),
+        ("--seed 5 --n 9 --size 64 --noise 0", "00d3c2ece9a67eb898ef21dc9ea8070ca1fa9802c4c57f859698e91efe8e7962"),
+        ("--seed 21 --n 24 --size 224", "ce2d4dcefd949413664939a87d8f145d79a5ee513d17e9c93fbf13f9bedf69df"),
+        ("--seed 3 --n 4 --size 100 --noise 255", "5da67bf906fc46b9337632772eccc03689fd45442ea4f3a94085a521cfd3d65e"),
+        ("--seed 8 --n 3 --size 33 --noise 7", "ea748f34ea1685cc3fdf2a762c1aa2ee8a7aef7e331ce366aef49902959461ba"),
+    ], ids=["32", "64-noiseless", "224", "100-noise-255", "33-odd"])
+    def test_dataset_hash_pinned(self, tmp_path, flags, dataset_hash):
+        """Each configuration writes the same images, labels.csv and dataset_hash as
+        every earlier version of gen."""
+        assert run(["gen", *flags.split(), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["dataset_hash"] == dataset_hash
 
     def test_different_seed_different_hash(self, tmp_path):
         h = []

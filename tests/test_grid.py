@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -179,6 +180,18 @@ class TestGenerateShapes:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             generate_shapes(seed=0, n=1, size=16)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_peak_memory(self, seed):
+        """Three 1024x1024 images allocate less than three float64 planes of that side:
+        each disk is taken over two broadcast axes, and noise is added in place."""
+        tracemalloc.start()
+        try:
+            generate_shapes(seed, 3, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 1024**2 * 8, f"{peak / (1024**2 * 8):.2f} planes"
 
     def test_images_are_8bit(self):
         for s in generate_shapes(seed=2, n=3):
