@@ -140,12 +140,9 @@ def cmd_vectorize(args) -> int:
             if not math.isfinite(hi - lo):
                 raise gridmod.FormatError(
                     f"{args.diagram}: the image spans {lo:g}..{hi:g}, wider than float64 holds")
-            spec = vectorize.ImageGridSpec(
-                args.resolution, args.resolution, (lo, hi), (0.0, hi - lo), args.sigma
-            )
             name = f"pimage_res{args.resolution}_sigma{args.sigma:g}"
-            header = [f"{name}_col{c}" for c in range(spec.cols)]
-            rows = vectorize.persistence_image(diag, spec)
+            header = [f"{name}_col{c}" for c in range(args.resolution)]
+            rows = vectorize.persistence_image(diag, args.resolution, (lo, hi), (0.0, hi - lo), args.sigma)
         else:  # a curve: one row per grid value t
             t_grid = np.linspace(args.t_min, args.t_max, args.samples)
             if np.any(np.diff(t_grid) <= 0):  # float64 has fewer values than --samples in the range
@@ -227,8 +224,8 @@ def _load_dataset(directory: str, mode: str):
         raise gridmod.FormatError(f"{path}: no samples")
     if not all(r["file"] and "\0" not in r["file"] for r in rows):
         raise gridmod.FormatError(f"{path}: every file must be a name without NUL bytes")
-    if min(labels) < 0:
-        raise gridmod.FormatError(f"{path}: labels must be non-negative")
+    if min(labels) < 0 or max(labels) >= modelmod.MAX_WIDTH:  # label + 1 classes
+        raise gridmod.FormatError(f"{path}: labels must be non-negative and below {modelmod.MAX_WIDTH}")
     if len(set(labels)) < 2:
         raise gridmod.FormatError(f"{path}: labels name fewer than two classes")
     samples = []
@@ -262,8 +259,7 @@ def cmd_train(args) -> int:
     except FloatingPointError as e:  # a finite but too large --lr can overflow float64
         print(f"error: {args.data}: {e}; try a smaller --lr", file=sys.stderr)
         return 1
-    os.makedirs(args.out, exist_ok=True)
-    modelmod.save_checkpoint(args.out, model, config, stats)
+    modelmod.save_checkpoint(args.out, model, config, stats)  # makes args.out
     with open(os.path.join(args.out, "history.json"), "w") as f:
         json.dump(history, f, indent=1, sort_keys=True)
         f.write("\n")

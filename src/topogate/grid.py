@@ -131,7 +131,8 @@ def load_csv_grid(path) -> np.ndarray:
     if not any(line.split(b"#")[0].strip() for line in lines):
         raise FormatError("CSV grid holds no values")
     try:
-        values = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+        # numpy reads byte lines as latin-1, which takes any byte; a grid must be UTF-8 text
+        values = np.loadtxt(lines, delimiter=",", dtype=np.int64, ndmin=2, encoding="utf-8")
     except ValueError as e:
         raise FormatError(f"malformed CSV grid: {e}") from e
     if np.any((values < 0) | (values > 255)):

@@ -26,6 +26,7 @@ from .grid import FormatError, finite_number, read_json
 
 __all__ = [
     "MODES",
+    "MAX_WIDTH",
     "CONFIG_RULES",
     "TrainConfig",
     "PHGModel",
@@ -44,6 +45,11 @@ __all__ = [
 
 MODES = ("full", "vision_only", "pd_only")
 
+# The most classes, PD-encoding width (m_dim) or channels per conv block a model
+# may have, so a config read from a file cannot ask for an array init_model
+# cannot allocate: every parameter array holds at most 1024 x 1024 x 9 values.
+MAX_WIDTH = 1024
+
 # The rule a TrainConfig field must meet beyond its type, as (rule, test of an
 # object holding the field); the CLI checks its same-named train flags with them.
 CONFIG_RULES = {
@@ -55,11 +61,12 @@ CONFIG_RULES = {
     # a 256x256 image's diagram holds at most 65536 points in a group
     "n_per_group": ("in 1..65536", lambda c: 1 <= c.n_per_group <= 65536),
     "ratio": (">= 1", lambda c: c.ratio >= 1),
-    "m_dim": (">= 1", lambda c: c.m_dim >= 1),
-    "channels": ("two ints, each >= 1",
-                 lambda c: len(c.channels) == 2 and all(type(n) is int and n >= 1 for n in c.channels)),
+    "m_dim": (f"in 1..{MAX_WIDTH}", lambda c: 1 <= c.m_dim <= MAX_WIDTH),
+    "channels": (f"two ints, each in 1..{MAX_WIDTH}",
+                 lambda c: len(c.channels) == 2
+                 and all(type(n) is int and 1 <= n <= MAX_WIDTH for n in c.channels)),
     "mode": ("one of " + ", ".join(MODES), lambda c: c.mode in MODES),
-    "n_classes": (">= 2", lambda c: c.n_classes >= 2),
+    "n_classes": (f"in 2..{MAX_WIDTH}", lambda c: 2 <= c.n_classes <= MAX_WIDTH),
 }
 
 

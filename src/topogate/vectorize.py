@@ -9,7 +9,6 @@ convention [b, d), matching the sublevel oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .diagram import Diagram
 
 __all__ = [
     "SIGMA_RULE",
-    "ImageGridSpec",
     "tent_values",
     "betti_curve",
     "landscapes",
@@ -26,37 +24,19 @@ __all__ = [
 ]
 
 
-def _sigma_ok(spec) -> bool:
+def _sigma_ok(sigma) -> bool:
     try:
-        inv2s2 = 1.0 / (2.0 * float(spec.sigma) ** 2)
+        inv2s2 = 1.0 / (2.0 * float(sigma) ** 2)
     except (OverflowError, ZeroDivisionError):  # sigma^2 overflows, or underflows to 0
         return False
-    return spec.sigma > 0 and 0 < inv2s2 < math.inf
+    return sigma > 0 and 0 < inv2s2 < math.inf
 
 
 # The rule a persistence image's sigma must meet, as (rule, test of an object
 # holding sigma); the CLI checks --sigma with it. A positive sigma below about
 # 1e-154 makes 1 / (2 sigma^2) overflow and the image NaN, one above 1e154
 # makes sigma^2 overflow.
-SIGMA_RULE = ("> 0, with 2 sigma^2 and its inverse finite", _sigma_ok)
-
-
-@dataclass(frozen=True)
-class ImageGridSpec:
-    """Raster spec for persistence images in the (birth, persistence) plane."""
-
-    rows: int
-    cols: int
-    birth_range: tuple[float, float]
-    pers_range: tuple[float, float]
-    sigma: float
-
-    def centers(self) -> tuple[np.ndarray, np.ndarray]:
-        b0, b1 = self.birth_range
-        p0, p1 = self.pers_range
-        bs = b0 + (np.arange(self.cols) + 0.5) * (b1 - b0) / self.cols
-        ps = p0 + (np.arange(self.rows) + 0.5) * (p1 - p0) / self.rows
-        return bs, ps
+SIGMA_RULE = ("> 0, with 2 sigma^2 and its inverse finite", lambda a: _sigma_ok(a.sigma))
 
 
 def _coords(diag: Diagram):
@@ -117,28 +97,31 @@ def silhouette(diag: Diagram, p: float, t_grid) -> np.ndarray:
     return out
 
 
-def persistence_image(diag: Diagram, spec: ImageGridSpec) -> np.ndarray:
+def persistence_image(diag: Diagram, resolution: int, birth_range, pers_range, sigma: float) -> np.ndarray:
     """Gaussian-smoothed diagram density in (birth, persistence) coordinates.
 
+    The image has `resolution` x `resolution` pixels: columns split
+    birth_range = (b0, b1) and rows split pers_range = (p0, p1) evenly.
     Each point (b, d) contributes (d - b) * N((b, d - b), sigma^2 I) evaluated
     at pixel centers (normalized Gaussian density, linear persistence weight).
     Raises FloatingPointError when the image is not finite: a sigma that meets
     SIGMA_RULE can still make 1 / (2 pi sigma^2) times a persistence overflow.
     """
-    rule, ok = SIGMA_RULE
-    if not ok(spec):
-        raise ValueError(f"sigma {spec.sigma:g}: must be {rule}")
+    if not _sigma_ok(sigma):
+        raise ValueError(f"sigma {sigma:g}: must be {SIGMA_RULE[0]}")
     b, d = _coords(diag)
+    (b0, b1), (p0, p1) = birth_range, pers_range
     # an exponent that overflows to -inf gives exp's limit, 0; a non-finite image raises below
     with np.errstate(over="ignore", invalid="ignore"):
         pers = d - b
-        bs, ps = spec.centers()
-        norm = 1.0 / (2.0 * np.pi * spec.sigma**2)
-        inv2s2 = 1.0 / (2.0 * spec.sigma**2)
+        bs = b0 + (np.arange(resolution) + 0.5) * (b1 - b0) / resolution
+        ps = p0 + (np.arange(resolution) + 0.5) * (p1 - p0) / resolution
+        norm = 1.0 / (2.0 * np.pi * sigma**2)
+        inv2s2 = 1.0 / (2.0 * sigma**2)
         # separable Gaussian, one product: sum_i pers_i gp_i (rows) x gb_i (cols)
         gb = np.exp(-((bs[None, :] - b[:, None]) ** 2) * inv2s2)  # (n, cols)
         gp = np.exp(-((ps[None, :] - pers[:, None]) ** 2) * inv2s2)  # (n, rows)
         out = (gp * pers[:, None]).T @ gb * norm
     if not np.isfinite(out).all():
-        raise FloatingPointError(f"sigma {spec.sigma:g}: the persistence image overflows float64")
+        raise FloatingPointError(f"sigma {sigma:g}: the persistence image overflows float64")
     return out

@@ -28,7 +28,6 @@ from topogate.model import (
 )
 from topogate.pipeline import build_feature_dataset
 from topogate.vectorize import (
-    ImageGridSpec,
     betti_curve,
     landscapes,
     persistence_image,
@@ -166,9 +165,8 @@ def test_criterion_6_vectorizer_closed_forms():
     assert abs(silhouette(d2, 1, [1.5])[0] - 0.5) <= 1e-12
     assert abs(betti_curve(d2, [1.5])[0] - 2) <= 1e-12
     assert abs(betti_curve(d2, [2.5])[0] - 1) <= 1e-12
-    spec = ImageGridSpec(1, 1, (-0.5, 0.5), (1.5, 2.5), 0.1)
     expected = 2.0 / (2 * np.pi * 0.01)
-    got = persistence_image(d, spec)[0, 0]
+    got = persistence_image(d, 1, (-0.5, 0.5), (1.5, 2.5), 0.1)[0, 0]
     assert abs(got - expected) <= 1e-12 * expected
     report("criterion 6 (vectorizer closed forms)", "landscape/silhouette/betti/image analytic values to 1e-12")
 

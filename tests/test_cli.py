@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -224,6 +225,21 @@ class TestVectorizeCmd:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert method[:4] in header or header.startswith("t,")
+
+    @pytest.mark.parametrize("flags,digest", [
+        ("--resolution 1", "2b5e9078f5e7c66af41e0a154a29b90537ab4882c78bfdf77ba33177e2b58210"),
+        ("--resolution 7", "121fa6e2c20b24bd91a1dd056625e043b8ec3cf47823706d191cb9a06f219f4e"),
+        ("--resolution 20", "82eee675db2758cdcb268aaa498df369c282993fb09189eb60b6a807bb29c2de"),
+        ("--resolution 13 --sigma 2.5 --t-min=-10 --t-max 300",
+         "9196be007782e6c7819df8e5d22bb03c23b0afc885995df4a360f3b5c20e4e1e"),
+    ], ids=["res1", "res7", "res20-default", "res13-sigma-t-range"])
+    def test_pimage_bytes_pinned(self, tmp_path, diagram_path, flags, digest):
+        """The pimage CSV keeps its bytes: each digest is its sha256 as written since the
+        image became one matrix product of its two Gaussian factors."""
+        out = tmp_path / "x.csv"
+        assert run(["vectorize", "--diagram", str(diagram_path), "--method", "pimage",
+                    *flags.split(), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_unknown_method_usage_error(self, diagram_path, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -7,9 +7,11 @@ file. Every run must return 0, 1 or 2 without an exception; exit 1 must name a
 path in the damaged file's directory, and exit 0 must leave only finite output.
 Each numeric flag is set to extreme values in a child process with a capped
 address space and a timeout, so a run that asks for unbounded work fails the
-test instead of the machine.
+test instead of the machine. Fixed file values that size a model past its
+caps run in such a child too.
 """
 
+import json
 import os
 import re
 import resource
@@ -191,3 +193,46 @@ def test_vectorize_flag_fuzz(workspace, tmp_path, case):
             shutil.rmtree(out)
         else:
             out.unlink()
+
+
+# Values a file may hold that size a model past what memory or int64 holds: a first
+# label (the model gets label + 1 classes), or edits to a checkpoint's config. The
+# channels are set in full mode, the mode that builds conv layers from them.
+FILE_VALUES = [("labels-train", 10**8), ("labels-train", 2**63), ("labels-eval", 10**8),
+               ("labels-eval", 2**63), ("manifest-eval", {"n_classes": 10**8}),
+               ("manifest-eval", {"m_dim": 10**9}),
+               ("manifest-eval", {"channels": [100000, 100000], "mode": "full"})]
+
+
+def _set_value(path, value):
+    if path.name == "labels.csv":
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, f"{first.split(',')[0]},{value}", *rest]) + "\n")
+    else:
+        manifest = json.loads(path.read_text())
+        manifest["config"].update(value)
+        path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("reader,value", FILE_VALUES, ids=[
+    "labels-train-1e8", "labels-train-2^63", "labels-eval-1e8", "labels-eval-2^63",
+    "manifest-n-classes-1e8", "manifest-m-dim-1e9", "manifest-channels-1e5"])
+def test_file_value_fuzz(workspace, tmp_path, reader, value):
+    """A labels.csv or checkpoint that asks for a model larger than the caps, run in a
+    child process limited to 2 GiB of address space and 60 s: it exits 1 naming the
+    file, with no traceback, and writes nothing."""
+    ws, out = tmp_path / "ws", tmp_path / "out"
+    for name in ("data", "ck"):
+        shutil.copytree(workspace / name, ws / name)
+    target, argv = _argv(ws, out)[reader]
+    _set_value(target, value)
+    before = {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()}
+    env = {**os.environ, "PYTHONPATH": str(Path(topogate.__file__).parents[1])}
+    child = subprocess.run([sys.executable, "-m", "topogate.cli", *argv], env=env,
+                           capture_output=True, text=True, timeout=CHILD_SECONDS,
+                           preexec_fn=_cap_address_space)
+    seen = (child.returncode, child.stderr[-2000:])
+    assert child.returncode == 1 and str(target) in child.stderr, seen
+    assert "Traceback" not in child.stderr, seen
+    assert not out.exists(), seen
+    assert {p: p.read_bytes() for p in ws.rglob("*") if p.is_file()} == before

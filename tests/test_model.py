@@ -39,7 +39,8 @@ from topogate.pipeline import build_feature_dataset
 # one config value each that TrainConfig refuses: a rule, a type or a NaN
 BAD_CONFIG_VALUES = [("ratio", 0), ("n_per_group", -3), ("n_per_group", 1.5), ("mode", "bogus"),
                      ("share_encoder", "no"), ("lr", math.nan), ("seed", -1), ("n_classes", 1),
-                     ("channels", (0, 0)), ("m_dim", 0), ("n_per_group", 65537), ("epochs", 1001)]
+                     ("channels", (0, 0)), ("m_dim", 0), ("n_per_group", 65537), ("epochs", 1001),
+                     ("n_classes", 1025), ("m_dim", 1025), ("channels", (4, 1025))]
 
 
 def _overwrite_param(blob, index, value):

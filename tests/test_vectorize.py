@@ -13,7 +13,6 @@ from topogate.diagram import Diagram, finitize
 from topogate.grid import generate_shapes
 from topogate.pipeline import preprocess_diagram
 from topogate.vectorize import (
-    ImageGridSpec,
     betti_curve,
     landscapes,
     persistence_image,
@@ -37,7 +36,7 @@ finite_diagrams = st.lists(
     lambda d: betti_curve(d, [1.0]),
     lambda d: landscapes(d, 1, [1.0]),
     lambda d: silhouette(d, 1, [1.0]),
-    lambda d: persistence_image(d, ImageGridSpec(2, 2, (0, 1), (0, 1), 0.5)),
+    lambda d: persistence_image(d, 2, (0, 1), (0, 1), 0.5),
 ], ids=["betti", "landscape", "silhouette", "pimage"])
 def test_nan_death_is_essential(vectorizer):
     with pytest.raises(ValueError, match="finitized"):
@@ -52,10 +51,10 @@ def shape_diagram():
     return d
 
 
-def image_spec(diag, resolution):
-    """The grid `vectorize --method pimage` rasterizes at the default flags."""
+def image_grid(diag, resolution):
+    """The grid arguments `vectorize --method pimage` passes at the default flags."""
     lo, hi = min(0.0, diag.births.min()), max(255.0, diag.deaths.max())
-    return ImageGridSpec(resolution, resolution, (lo, hi), (0.0, hi - lo), 10.0)
+    return (resolution, (lo, hi), (0.0, hi - lo), 10.0)
 
 
 class TestBettiCurve:
@@ -166,21 +165,17 @@ class TestSilhouette:
 
 class TestPersistenceImage:
     def test_empty(self):
-        spec = ImageGridSpec(4, 4, (0, 1), (0, 1), 0.1)
-        image = persistence_image(empty_diagram(), spec)
+        image = persistence_image(empty_diagram(), 4, (0, 1), (0, 1), 0.1)
         assert image.shape == (4, 4) and image.tobytes() == np.zeros((4, 4)).tobytes()
 
     def test_center_value(self):
         # single pixel centered on the point (birth 0, persistence 2)
-        spec = ImageGridSpec(1, 1, (-0.5, 0.5), (1.5, 2.5), 0.1)
-        v = persistence_image(diag_of((0, 2, 0)), spec)[0, 0]
+        v = persistence_image(diag_of((0, 2, 0)), 1, (-0.5, 0.5), (1.5, 2.5), 0.1)[0, 0]
         assert v == pytest.approx(2.0 / (2 * np.pi * 0.01), rel=1e-12)
 
     def test_translation_equivariance(self):
-        spec0 = ImageGridSpec(5, 5, (0, 1), (0, 2), 0.2)
-        spec1 = ImageGridSpec(5, 5, (10, 11), (0, 2), 0.2)
-        a = persistence_image(diag_of((0.3, 1.0, 0)), spec0)
-        b = persistence_image(diag_of((10.3, 11.0, 0)), spec1)
+        a = persistence_image(diag_of((0.3, 1.0, 0)), 5, (0, 1), (0, 2), 0.2)
+        b = persistence_image(diag_of((10.3, 11.0, 0)), 5, (10, 11), (0, 2), 0.2)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_sigma_guard(self):
@@ -188,7 +183,7 @@ class TestPersistenceImage:
         # 1e200 makes sigma^2 overflow
         for sigma in (0, 1e-160, 1e-200, 1e200):
             with pytest.raises(ValueError, match="sigma"):
-                persistence_image(diag_of((0, 2, 0)), ImageGridSpec(2, 2, (0, 1), (0, 1), sigma))
+                persistence_image(diag_of((0, 2, 0)), 2, (0, 1), (0, 1), sigma)
 
     def test_tiny_sigma_finite_or_refused(self):
         """sigma 1e-154 meets SIGMA_RULE. Away from the point the exponent overflows, and
@@ -197,30 +192,30 @@ class TestPersistenceImage:
         point = diag_of((50, 100, 0))  # birth 50, persistence 50
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            far = persistence_image(point, ImageGridSpec(4, 4, (0, 100), (0, 100), 1e-154))
+            far = persistence_image(point, 4, (0, 100), (0, 100), 1e-154)
             assert far.tobytes() == np.zeros((4, 4)).tobytes()
             with pytest.raises(FloatingPointError, match="sigma 1e-154"):
-                persistence_image(point, ImageGridSpec(1, 1, (0, 100), (0, 100), 1e-154))
+                persistence_image(point, 1, (0, 100), (0, 100), 1e-154)
 
     @given(finite_diagrams)
     @settings(max_examples=60, deadline=None)
     def test_product_matches_sum(self, d):
-        spec = ImageGridSpec(6, 5, (0, 1), (0, 1.2), 0.2)
-        expected = persistence_image_sum(d, spec)
-        assert np.abs(persistence_image(d, spec) - expected).max() <= 1e-12 * expected.max()
+        grid = (6, (0, 1), (0, 1.2), 0.2)
+        expected = persistence_image_sum(d, *grid)
+        assert np.abs(persistence_image(d, *grid) - expected).max() <= 1e-12 * expected.max()
 
     def test_product_matches_sum_on_shape(self, shape_diagram):
-        spec = image_spec(shape_diagram, 20)
-        expected = persistence_image_sum(shape_diagram, spec)
-        assert np.abs(persistence_image(shape_diagram, spec) - expected).max() <= 1e-12 * expected.max()
+        grid = image_grid(shape_diagram, 20)
+        expected = persistence_image_sum(shape_diagram, *grid)
+        assert np.abs(persistence_image(shape_diagram, *grid) - expected).max() <= 1e-12 * expected.max()
 
     def test_peak_memory_is_two_factors(self, shape_diagram):
         """At resolution 100 the image is one product of two (n, 100) factors; an (n, 100,
         100) temporary of 7 000 points would take over 500 MiB."""
-        spec = image_spec(shape_diagram, 100)
+        grid = image_grid(shape_diagram, 100)
         tracemalloc.start()
         try:
-            persistence_image(shape_diagram, spec)
+            persistence_image(shape_diagram, *grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -228,8 +223,7 @@ class TestPersistenceImage:
 
     def test_nonnegative(self, rng):
         pts = [(b, b + p, 0) for b, p in zip(rng.random(10), rng.random(10) + 0.05)]
-        spec = ImageGridSpec(8, 8, (0, 1), (0, 1.2), 0.15)
-        assert np.all(persistence_image(diagram_from_points(pts), spec) >= 0)
+        assert np.all(persistence_image(diagram_from_points(pts), 8, (0, 1), (0, 1.2), 0.15) >= 0)
 
 
 class TestPermutationInvariance:
@@ -240,8 +234,8 @@ class TestPermutationInvariance:
         rng.shuffle(shuffled)
         a, b = diagram_from_points(pts), diagram_from_points(shuffled)
         t = np.linspace(0, 2, 32)
-        spec = ImageGridSpec(6, 6, (0, 1), (0, 1.2), 0.2)
+        grid = (6, (0, 1), (0, 1.2), 0.2)
         assert np.allclose(betti_curve(a, t), betti_curve(b, t))
         assert np.allclose(landscapes(a, 2, t), landscapes(b, 2, t))
         assert np.allclose(silhouette(a, 1, t), silhouette(b, 1, t))
-        assert np.allclose(persistence_image(a, spec), persistence_image(b, spec))
+        assert np.allclose(persistence_image(a, *grid), persistence_image(b, *grid))
